@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a check or verification failed, 2 usage or parse
-errors.  Terms are read from files (or ``-`` for stdin) in the concrete
-syntax and printed one per line.
+errors, including input nested too deeply to process.  Terms are read from
+files (or ``-`` for stdin) in the concrete syntax and printed one per line.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ def main(argv=None) -> int:
         return _dispatch(ns)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parsing, typing, stepping and keys all recurse on the term's depth
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

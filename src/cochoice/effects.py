@@ -12,36 +12,37 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .names import EPS, format_name, is_name_var, normalize_name, word_subst
+from .node import Interned
 
 
-class Effect:
+class Effect(Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Empty(Effect):
     """The empty language."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Lit(Effect):
     """A one-word language {word}; Lit(()) is the language {eps}."""
 
     word: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Cat(Effect):
     left: Effect
     right: Effect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Alt(Effect):
     parts: tuple  # flattened, deduplicated, sorted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Star(Effect):
     inner: Effect
 

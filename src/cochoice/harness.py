@@ -387,22 +387,23 @@ def end_to_end(e: SrcExpr, fuel: int = 200, alpha: str = "a") -> CheckReport:
 
     src_res = src_eval(e, fuel=fuel)
     tgt_res = tgt_eval(m, frozenset(), fuel=fuel)
+    explored = src_res.explored + tgt_res.explored
     if src_res.exhausted or tgt_res.exhausted:
-        return CheckReport(FUEL_EXHAUSTED, None, 0)
+        return CheckReport(FUEL_EXHAUSTED, None, explored)
 
     src_nfs = {canon_key(pseudo_compile(nf)): nf for nf in src_res.normal_forms}
     tgt_nfs = {canon_key(erase(nf)): nf for nf in tgt_res.normal_forms}
     if set(src_nfs) != set(tgt_nfs):
         only_src = [src_nfs[k] for k in src_nfs if k not in tgt_nfs]
         only_tgt = [tgt_nfs[k] for k in tgt_nfs if k not in src_nfs]
-        return CheckReport(COUNTEREXAMPLE, (only_src, only_tgt), 0)
+        return CheckReport(COUNTEREXAMPLE, (only_src, only_tgt), explored)
 
     strong = check_strong_bisim(pseudo_compile(e), m)
+    explored += strong.explored
     if strong.status == COUNTEREXAMPLE:
-        return CheckReport(COUNTEREXAMPLE, ("strong", strong.witness),
-                           strong.explored)
+        return CheckReport(COUNTEREXAMPLE, ("strong", strong.witness), explored)
     weak = check_weak_bisim_pseudo(e)
+    explored += weak.explored
     if weak.status == COUNTEREXAMPLE:
-        return CheckReport(COUNTEREXAMPLE, ("weak", weak.witness),
-                           weak.explored)
-    return CheckReport(OK, None, strong.explored + weak.explored)
+        return CheckReport(COUNTEREXAMPLE, ("weak", weak.witness), explored)
+    return CheckReport(OK, None, explored)

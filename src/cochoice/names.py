@@ -27,6 +27,8 @@ def normalize_name(parts) -> tuple:
     """
     if isinstance(parts, str):
         return (parts,)
+    if type(parts) is tuple and all(type(p) is str for p in parts):
+        return parts
     out: list[str] = []
     for part in parts:
         out.extend(normalize_name(part))

@@ -113,10 +113,6 @@ def src_step_all(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
     return out
 
 
-def src_step_trace(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
-    return src_step_all(e)
-
-
 def choice_leaves(e: SrcExpr) -> list[SrcExpr]:
     """The multiset of non-choice leaves of a choice tree, left to right."""
     if isinstance(e, Choice):
@@ -129,6 +125,7 @@ class EvalResult:
     normal_forms: list = field(default_factory=list)
     exhausted: bool = False   # fuel ran out, or the state graph has a cycle
     stuck: list = field(default_factory=list)
+    explored: int = 0         # states visited
 
 
 def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
@@ -144,7 +141,6 @@ def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
     seen = set()
     edges: dict = {}
     frontier = [start]
-    steps = 0
     while frontier:
         nxt = []
         for t in frontier:
@@ -152,10 +148,10 @@ def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
             if k in seen:
                 continue
             seen.add(k)
-            if steps >= fuel:
+            if res.explored >= fuel:
                 res.exhausted = True
                 return res
-            steps += 1
+            res.explored += 1
             succ = succ_fn(t)
             if not succ:
                 res.normal_forms.append(t)

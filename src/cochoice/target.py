@@ -13,6 +13,7 @@ regular-language decision procedures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import effects as eff
 from .names import is_name_var, name_vars, normalize_name
@@ -134,7 +135,7 @@ def wf_check(env: TargetEnv, entity) -> bool:
 # subtyping
 
 def subtype(t1: TgtType, t2: TgtType) -> bool:
-    if isinstance(t1, TNat) and isinstance(t2, TNat):
+    if canon_key(t1) == canon_key(t2):  # reflexive up to alpha-equivalence
         return True
     if isinstance(t1, TArrow) and isinstance(t2, TArrow):
         return (subtype(t2.arg, t1.arg)
@@ -277,8 +278,13 @@ def _require_disjoint(s1: eff.Effect, s2: eff.Effect):
 # ---------------------------------------------------------------------------
 # effect typing
 
+@lru_cache(maxsize=1 << 12)
 def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
-    """Infer ``(type, EffectPNF)`` for ``m`` or raise a typing error."""
+    """Infer ``(type, EffectPNF)`` for ``m`` or raise a typing error.
+
+    Results are cached, boundedly: a successor of a typed term shares all
+    but its changed spine with it, so retyping it reuses the rest.
+    """
     if isinstance(m, TVar):
         t = env.lookup(m.name)
         if t is None:

@@ -1,7 +1,13 @@
 """Brute-force reference implementations used to cross-check the effect
-decision procedures, plus a deterministic random-effect generator."""
+decision procedures and the alpha-equivalence keys, plus a deterministic
+random-effect generator."""
 
 from cochoice import effects as eff
+from cochoice.names import is_name_var, normalize_name
+from cochoice.syntax import (
+    Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
+    TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar, Var,
+)
 
 ATOMS = ("o", "b", "al", "be")
 
@@ -83,3 +89,123 @@ def random_effect(rng, size, atoms=ATOMS):
         return eff.alt(random_effect(rng, half, atoms),
                        random_effect(rng, size - half, atoms))
     return eff.star(random_effect(rng, size - 1, atoms))
+
+
+# ---------------------------------------------------------------------------
+# alpha equivalence by nested tuples: the key algorithm that syntax.canon_key
+# replaced, kept as the reference it must agree with
+
+
+def reference_key(x):
+    """A hashable key equal for alpha-equivalent entities.
+
+    Bound term and name variables are numbered by binding depth; names are
+    normalized; effect concatenations and literals are flattened and
+    alternations sorted, so the key is stable under associativity of
+    concatenation. It does not tell a source term from a target term.
+    """
+    return _ck(x, {}, 0, {}, 0)
+
+
+def _ck_atom(a, nenv):
+    if is_name_var(a):
+        return nenv.get(a, ("f", a))
+    return a
+
+
+def _ck_name(word, nenv):
+    return ("name",) + tuple(_ck_atom(a, nenv) for a in normalize_name(word))
+
+
+def _ck_eff_items(e, nenv):
+    if isinstance(e, eff.Empty):
+        # normally unreachable inside a canonical Cat, but handle raw trees
+        return [("empty",)]
+    if isinstance(e, eff.Lit):
+        return [_ck_atom(a, nenv) for a in e.word]
+    if isinstance(e, eff.Cat):
+        return _ck_eff_items(e.left, nenv) + _ck_eff_items(e.right, nenv)
+    if isinstance(e, eff.Alt):
+        parts = sorted((_ck_eff(p, nenv) for p in e.parts), key=repr)
+        return [("alt",) + tuple(parts)]
+    if isinstance(e, eff.Star):
+        return [("star", _ck_eff(e.inner, nenv))]
+    raise TypeError(f"not an effect: {e!r}")
+
+
+def _ck_eff(e, nenv):
+    if isinstance(e, eff.Empty):
+        return ("empty",)
+    return ("cat",) + tuple(_ck_eff_items(e, nenv))
+
+
+def _ck(x, tenv, tn, nenv, nn):
+    # names
+    if isinstance(x, tuple):
+        return _ck_name(x, nenv)
+    if isinstance(x, eff.Effect):
+        return _ck_eff(x, nenv)
+    # types
+    if isinstance(x, Nat):
+        return ("nat",)
+    if isinstance(x, Arrow):
+        return ("arrow", _ck(x.arg, tenv, tn, nenv, nn), _ck(x.res, tenv, tn, nenv, nn))
+    if isinstance(x, TNat):
+        return ("tnat",)
+    if isinstance(x, TArrow):
+        return (
+            "tarrow",
+            _ck(x.arg, tenv, tn, nenv, nn),
+            _ck_eff(x.latent, nenv),
+            _ck(x.res, tenv, tn, nenv, nn),
+        )
+    if isinstance(x, TForall):
+        nenv2 = {**nenv, x.var: ("n", nn)}
+        return (
+            "forall",
+            _ck_eff(x.latent, nenv2),
+            _ck(x.body, tenv, tn, nenv2, nn + 1),
+        )
+    # expressions
+    if isinstance(x, (Var, TVar)):
+        return ("var", tenv.get(x.name, ("f", x.name)))
+    if isinstance(x, (Num, TNum)):
+        return ("num", x.value)
+    if isinstance(x, (Add, TAdd)):
+        return ("add",)
+    if isinstance(x, (App, TApp)):
+        return ("app", _ck(x.fn, tenv, tn, nenv, nn), _ck(x.arg, tenv, tn, nenv, nn))
+    if isinstance(x, (Lam, TLam)):
+        tenv2 = {**tenv, x.var: ("t", tn)}
+        return (
+            "lam",
+            _ck(x.ann, tenv, tn, nenv, nn),
+            _ck(x.body, tenv2, tn + 1, nenv, nn),
+        )
+    if isinstance(x, (Fix, TFix)):
+        tenv2 = {**tenv, x.var: ("t", tn)}
+        return (
+            "fix",
+            _ck(x.ann, tenv, tn, nenv, nn),
+            _ck(x.body, tenv2, tn + 1, nenv, nn),
+        )
+    if isinstance(x, Choice):
+        return (
+            "choice",
+            ("name",),
+            _ck(x.left, tenv, tn, nenv, nn),
+            _ck(x.right, tenv, tn, nenv, nn),
+        )
+    if isinstance(x, TChoice):
+        return (
+            "choice",
+            _ck_name(x.name, nenv),
+            _ck(x.left, tenv, tn, nenv, nn),
+            _ck(x.right, tenv, tn, nenv, nn),
+        )
+    if isinstance(x, TNameApp):
+        return ("nameapp", _ck(x.fn, tenv, tn, nenv, nn), _ck_name(x.name, nenv))
+    if isinstance(x, TNameAbs):
+        nenv2 = {**nenv, x.var: ("n", nn)}
+        return ("nameabs", _ck(x.body, tenv, tn, nenv2, nn + 1))
+    raise TypeError(f"cannot canonicalize: {x!r}")

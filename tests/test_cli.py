@@ -46,6 +46,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_deep_input_exit_code(tmp_path, capsys):
+    f = term_file(tmp_path, "(" * 1000 + "1" + " || 2)" * 1000)
+    code, _, err = run(capsys, "src-check", f)
+    assert code == 2 and "input nested too deeply" in err
+
+
 def test_src_step(tmp_path, capsys):
     f = term_file(tmp_path, "(\\x:nat. x) 1")
     code, out, _ = run(capsys, "src-step", f)

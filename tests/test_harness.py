@@ -140,6 +140,7 @@ def test_end_to_end_examples():
 def test_end_to_end_divergent():
     rep = end_to_end(src("(fix f:nat->nat. \\x:nat. f x) 0"), fuel=100)
     assert rep.status == FUEL_EXHAUSTED
+    assert rep.explored > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,19 +1,26 @@
 """Term syntax: substitution, free variables, and alpha-equivalence."""
 
-import random
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from cochoice import effects as eff
 from cochoice.effects import Lit, cat, star, alt
 from cochoice.syntax import (
     NAT, Arrow, TNAT, TArrow, TForall,
     Var, App, Lam, Fix, Choice, Num, Add, ADD,
     TVar, TApp, TLam, TNameApp, TNameAbs, TFix, TChoice, TNum,
+    SrcExpr, SrcType, TgtExpr, TgtType,
     is_src_value, is_tgt_value, size_of, free_vars, free_name_vars,
     fresh, subst_term, name_subst, alpha_eq, canon_key,
 )
 from cochoice.harness import gen_typed_source
-from cochoice.compiler import compile_expr
+from cochoice.compiler import compile_expr, erase, pseudo_compile
+from cochoice.names import normalize_name
+from cochoice.parser import parse
+from cochoice.source import src_step_all
+from cochoice.target import tgt_step_all
+from oracle import reference_key
 
 
 def test_values():
@@ -130,3 +137,167 @@ def test_name_subst_identity_on_closed(e):
     m = compile_expr(e, "al", ())
     assert free_name_vars(m) <= {"al"}
     assert alpha_eq(name_subst(m, "be", ("o",)), m)
+
+
+# ------------------------------------------------ keys against the reference
+
+def renamed(x, fresh_names=True):
+    """``x`` with every term and name binder renamed. With ``fresh_names``
+    each binder gets its own new name, an alpha-variant; otherwise all term
+    binders share one name and all name binders another, which captures
+    references to outer binders and so usually changes the term."""
+    counter = itertools.count()
+
+    def new(v, kind):
+        return f"{kind}{next(counter)}" if fresh_names else kind
+
+    def word(w, nenv):
+        return tuple(nenv.get(a, a) for a in normalize_name(w))
+
+    def effect(e, nenv):
+        if isinstance(e, eff.Lit):
+            return eff.Lit(word(e.word, nenv))
+        if isinstance(e, eff.Cat):
+            return eff.Cat(effect(e.left, nenv), effect(e.right, nenv))
+        if isinstance(e, eff.Alt):
+            return eff.Alt(tuple(effect(p, nenv) for p in e.parts))
+        if isinstance(e, eff.Star):
+            return eff.Star(effect(e.inner, nenv))
+        return e
+
+    def ty(t, nenv):
+        if isinstance(t, (Arrow, TArrow)):
+            mid = (effect(t.latent, nenv),) if isinstance(t, TArrow) else ()
+            return type(t)(ty(t.arg, nenv), *mid, ty(t.res, nenv))
+        if isinstance(t, TForall):
+            v = new(t.var, "nv")
+            inner = {**nenv, t.var: v}
+            return TForall(v, effect(t.latent, inner), ty(t.body, inner))
+        return t
+
+    def term(e, tenv, nenv):
+        if isinstance(e, (Var, TVar)):
+            return type(e)(tenv.get(e.name, e.name))
+        if isinstance(e, (App, TApp)):
+            return type(e)(term(e.fn, tenv, nenv), term(e.arg, tenv, nenv))
+        if isinstance(e, (Lam, Fix, TLam, TFix)):
+            v = new(e.var, "tv")
+            return type(e)(v, ty(e.ann, nenv), term(e.body, {**tenv, e.var: v}, nenv))
+        if isinstance(e, Choice):
+            return Choice(term(e.left, tenv, nenv), term(e.right, tenv, nenv))
+        if isinstance(e, TChoice):
+            return TChoice(term(e.left, tenv, nenv), word(e.name, nenv),
+                           term(e.right, tenv, nenv))
+        if isinstance(e, TNameApp):
+            return TNameApp(term(e.fn, tenv, nenv), word(e.name, nenv))
+        if isinstance(e, TNameAbs):
+            v = new(e.var, "nv")
+            return TNameAbs(v, term(e.body, tenv, {**nenv, e.var: v}))
+        return e
+
+    if isinstance(x, (SrcType, TgtType)):
+        return ty(x, {})
+    return term(x, {}, {})
+
+
+def family(e):
+    """A program, its compilations at three seeds, their one-step
+    successors, and binder-renamed variants of all of them."""
+    base = [e, pseudo_compile(e)]
+    for seed in [(), ("o",), ("b", "o")]:
+        m = compile_expr(e, "al", seed)
+        closed = name_subst(m, "al", ())
+        base += [m, closed, erase(closed)]
+        base += tgt_step_all(closed, frozenset())
+    base += [s for _, s in src_step_all(e)]
+    return base + [renamed(x) for x in base] + [renamed(x, False) for x in base]
+
+
+HAND_WRITTEN = [
+    parse("tgt", r"/\a. /\d. x @ a"),
+    parse("tgt", r"/\d. /\a. x @ d"),
+    parse("tgt", r"/\a. /\d. x @ d"),
+    parse("tgt", r"/\a. (1 ||{a o} 2)"),
+    parse("tgt", r"/\c. (1 ||{c o} 2)"),
+    parse("tgt", r"/\c. (1 ||{a o} 2)"),
+    TLam("x", TForall("a", Lit(("a", "g")), TNAT), TVar("x")),
+    TLam("y", TForall("d", Lit(("d", "g")), TNAT), TVar("y")),
+    TLam("y", TForall("d", Lit(("g", "d")), TNAT), TVar("y")),
+    TForall("a", eff.Alt((Lit(("a",)), Lit(("o",)))), TNAT),
+    TForall("d", eff.Alt((Lit(("o",)), Lit(("d",)))), TNAT),
+    TForall("d", eff.Alt((Lit(("o",)), Lit(("d",)), Lit(("o",)))), TNAT),
+    TForall("a", eff.Cat(Lit(("a",)), Lit(("o",))),
+            TForall("c", Lit(("a", "c")), TNAT)),
+    TForall("a", Lit(("a", "o")), TForall("a", Lit(("a", "a")), TNAT)),
+    TForall("a", Lit(("a", "o")), TForall("c", Lit(("c", "c")), TNAT)),
+    eff.Alt((Lit(("o",)), Lit(("b",)))),
+    eff.Alt((Lit(("b",)), Lit(("o",)))),
+    eff.Cat(eff.Cat(Lit(("o",)), Lit(("b",))), Lit(("o",))),
+    eff.Cat(Lit(("o",)), eff.Cat(Lit(("b",)), Lit(("o",)))),
+    Lit(("o", "b", "o")),
+    eff.Cat(Lit(()), eff.Star(Lit(("o",)))),
+    eff.Star(Lit(("o",))),
+    eff.Cat(eff.EMPTY, Lit(())),
+    eff.EMPTY,
+    ("o", ("b",)),
+    ("o", "b"),
+]
+
+
+def _sort(x):
+    for cls in (SrcExpr, TgtExpr, SrcType, TgtType, eff.Effect, tuple):
+        if isinstance(x, cls):
+            return cls
+    raise TypeError(x)
+
+
+def _agree(pool):
+    keys = [canon_key(x) for x in pool]
+    refs = [reference_key(x) for x in pool]
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        same = _sort(pool[i]) is _sort(pool[j]) and refs[i] == refs[j]
+        assert (keys[i] == keys[j]) == same, (pool[i], pool[j])
+
+
+def test_keys_agree_with_reference_on_hand_written_cases():
+    _agree(HAND_WRITTEN + [renamed(x) for x in HAND_WRITTEN
+                           if not isinstance(x, (tuple, eff.Effect))])
+    assert alpha_eq(HAND_WRITTEN[0], HAND_WRITTEN[1])
+    assert not alpha_eq(HAND_WRITTEN[0], HAND_WRITTEN[2])
+    assert alpha_eq(HAND_WRITTEN[15], HAND_WRITTEN[16])
+
+
+def test_alternatives_are_sorted_again_after_binding():
+    # the bound part's key is older than the literal's on one side and
+    # younger on the other, so only sorting after binding equates them
+    early = Lit(("q_early",))
+    canon_key(early)
+    word = Lit(("b", "o", "b", "b", "o", "o", "b"))
+    canon_key(word)
+    a = TForall("q_early", eff.Alt((early, word)), TNAT)
+    b = TForall("q_late", eff.Alt((word, Lit(("q_late",)))), TNAT)
+    assert reference_key(a) == reference_key(b)
+    assert alpha_eq(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+def test_keys_agree_with_reference(e):
+    _agree(family(e))
+
+
+def test_keys_tell_source_from_target():
+    assert canon_key(Num(3)) != canon_key(TNum(3))
+    assert canon_key(Choice(Num(1), Num(2))) != canon_key(TChoice(TNum(1), (), TNum(2)))
+    assert reference_key(Num(3)) == reference_key(TNum(3))
+
+
+def test_key_cache_info():
+    e = gen_typed_source(7, 20)
+    before = canon_key.cache_info()
+    canon_key(e)
+    canon_key(e)
+    after = canon_key.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses + 1
+    assert after.currsize >= before.currsize
