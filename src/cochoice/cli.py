@@ -13,12 +13,12 @@ import sys
 from . import effects as eff
 from .compiler import compile_expr, erase, pseudo_compile
 from .harness import (
-    OK, PreconditionViolated, check_non_coordination, check_strong_bisim,
-    check_subject_reduction, check_weak_bisim_pseudo, end_to_end,
-    gen_typed_source,
+    FUEL_EXHAUSTED, OK, PreconditionViolated, check_non_coordination,
+    check_strong_bisim, check_subject_reduction, check_weak_bisim_pseudo,
+    end_to_end, gen_typed_source,
 )
 from .parser import ParseError, parse, parse_world
-from .printer import format_any, format_effect, format_name, format_type
+from .printer import format_any, format_effect, format_type
 from .source import SrcTypeError, src_eval, src_step_all, src_typecheck
 from .syntax import name_subst
 from .target import (
@@ -250,10 +250,10 @@ def _suite(ns) -> int:
         ]
         for name, run in checks:
             rep = run()
-            status = {OK: "OK"}.get(rep.status,
-                                    "FUEL" if rep.status == "FuelExhausted"
-                                    else "FAIL")
+            status = {OK: "OK", FUEL_EXHAUSTED: "FUEL"}.get(rep.status, "FAIL")
             line = f"case={i} seed={ns.seed + i} check={name} status={status}"
+            if status == "FUEL":
+                line += f" cause={rep.cause}"
             if status == "FAIL":
                 failures += 1
                 line += f" witness={rep.witness!r}"

@@ -2,32 +2,49 @@
 non-coordination, end-to-end normal-form correspondence, and a deterministic
 generator of closed well-typed source programs to drive them.
 
-All checks explore bounded state spaces and report one of three statuses:
-``OK`` (fully explored, no violation), ``CounterExample`` (definite
-violation with a witness), or ``FuelExhausted`` (bounds hit before the
-exploration closed — never treated as a violation).
+Every check is a breadth-first search by ``source.explore``, which finds
+each state once by key and stops at the first verdict a step raises.  A
+check reports ``OK`` (the search closed with no violation),
+``CounterExample`` (a definite violation, with a witness) or
+``FuelExhausted`` (a bound was hit first; never treated as a violation),
+and a FuelExhausted report names its ``cause``:
+
+- ``depth``: states ``depth`` steps from the root were left unexpanded;
+- ``states``: a bisimulation met more than ``_MAX_PAIRS`` pairs, or an
+  ``end_to_end`` evaluation more than ``fuel`` states (subject reduction and
+  non-coordination have no state budget);
+- ``run``: a weak-bisimulation step had no match, and the search for a
+  matching run (``_RUN`` steps, ``fuel`` states) did not close;
+- ``cycle``: an ``end_to_end`` evaluation has an infinite reduction path.
+
+Successors and matching runs are memoized by ``canon_key`` for the life of
+the process; source and target keys differ, so one memo serves both.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import effects as eff
 from .compiler import compile_expr, erase, pseudo_compile
-from .source import src_eval, src_step_all, src_typecheck, SrcTypeError
+from .source import (
+    SrcTypeError, Stop, explore, src_eval, src_step_all, src_typecheck,
+)
 from .syntax import (
     App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, TgtExpr, Var,
     alpha_eq, canon_key, name_subst, size_of,
 )
 from .target import (
-    TargetEnv, TgtTypeError, effect_typecheck, subtype, tgt_eval,
-    tgt_step_all, tgt_step_nc,
+    TargetEnv, effect_typecheck, subtype, tgt_eval, tgt_step_all, tgt_step_nc,
 )
 
 OK = "OK"
 COUNTEREXAMPLE = "CounterExample"
 FUEL_EXHAUSTED = "FuelExhausted"
+
+_MAX_PAIRS = 3000  # per-bisimulation state-pair budget
+_RUN = 4           # steps in a weak-bisimulation matching run
 
 
 class PreconditionViolated(Exception):
@@ -35,26 +52,59 @@ class PreconditionViolated(Exception):
 
 
 @dataclass
-class BisimReport:
-    status: str
-    witness: object = None
-    explored: int = 0
-
-
-@dataclass
 class CheckReport:
     status: str
     witness: object = None
     explored: int = 0
+    cause: str | None = None  # of a FuelExhausted: depth, states, run, cycle
+
+
+BisimReport = CheckReport  # the earlier name of bisimulation reports
+
+
+def _verdict(search) -> CheckReport:
+    """The verdict a step raised, else OK if the search closed, else
+    FuelExhausted with the budget that ran out."""
+    if search.verdict is not None:
+        return replace(search.verdict, explored=search.expanded)
+    status = OK if search.cause is None else FUEL_EXHAUSTED
+    return CheckReport(status, None, search.expanded, search.cause)
+
+
+def _pair_key(pair):
+    return canon_key(pair[0]), canon_key(pair[1])
+
+
+_SUCC: dict = {}
+_REACH: dict = {}
+
+
+def _succ(t) -> list:
+    """One-step successors of a source term, or of a target term under the
+    empty world, memoized by key."""
+    k = canon_key(t)
+    hit = _SUCC.get(k)
+    if hit is None:
+        hit = _SUCC[k] = (tgt_step_all(t, frozenset()) if isinstance(t, TgtExpr)
+                          else [s for _, s in src_step_all(t)])
+    return hit
+
+
+def _reachable(term, fuel: int):
+    """Terms reachable from ``term`` in at most ``_RUN`` steps, expanding at
+    most ``fuel`` states: (key -> term, closed?), memoized."""
+    k = (canon_key(term), fuel)
+    hit = _REACH.get(k)
+    if hit is None:
+        search = explore(term, _succ, depth=_RUN, limit=fuel)
+        hit = _REACH[k] = (search.found, search.cause is None)
+    return hit
 
 
 # ---------------------------------------------------------------------------
 # strong bisimulation: source term vs. typed target term erasing to it
 
-_MAX_PAIRS = 3000  # per-check state-pair budget; overruns report FuelExhausted
-
-
-def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> BisimReport:
+def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> CheckReport:
     """Mutual single-step simulation between ``e`` and ``m`` (empty world).
 
     ``m`` must effect-typecheck in the empty environment and erase to ``e``.
@@ -66,163 +116,82 @@ def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> BisimReport:
     except SrcTypeError as exc:
         raise PreconditionViolated(f"target term is untyped: {exc}") from exc
 
-    seen = set()
-    frontier = [(e, m)]
-    explored = 0
-    for _ in range(depth):
-        nxt = []
-        for a, b in frontier:
-            k = (canon_key(a), canon_key(b))
-            if k in seen:
-                continue
-            seen.add(k)
-            explored += 1
-            if explored > _MAX_PAIRS:
-                return BisimReport(FUEL_EXHAUSTED, None, explored)
-            sa = _src_succ(a)
-            sb = _tgt_succ(b)
-            eb = [(s, canon_key(erase(s))) for s in sb]
-            for a2 in sa:
-                ka2 = canon_key(a2)
-                matches = [s for s, ke in eb if ke == ka2]
-                if not matches:
-                    return BisimReport(COUNTEREXAMPLE, ((a, b), ("src", a2)),
-                                       explored)
-                nxt.extend((a2, s) for s in matches)
-            for b2, ke in eb:
-                if not any(canon_key(a2) == ke for a2 in sa):
-                    return BisimReport(COUNTEREXAMPLE, ((a, b), ("tgt", b2)),
-                                       explored)
-        frontier = [p for p in nxt
-                    if (canon_key(p[0]), canon_key(p[1])) not in seen]
-        if not frontier:
-            return BisimReport(OK, None, explored)
-    return BisimReport(FUEL_EXHAUSTED, None, explored)
+    def step(pair):
+        a, b = pair
+        sa = _succ(a)
+        eb = [(s, canon_key(erase(s))) for s in _succ(b)]
+        out = []
+        for a2 in sa:
+            ka2 = canon_key(a2)
+            matches = [(a2, s) for s, ke in eb if ke == ka2]
+            if not matches:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, ("src", a2))))
+            out += matches
+        src_keys = {canon_key(a2) for a2 in sa}
+        for b2, ke in eb:
+            if ke not in src_keys:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, ("tgt", b2))))
+        return out
+
+    return _verdict(explore((e, m), step, depth, limit=_MAX_PAIRS,
+                            key=_pair_key))
 
 
 # ---------------------------------------------------------------------------
 # weak bisimulation: source term vs. its pseudo compilation
 
-_REACH_CACHE: dict = {}
-
-
-def _reachable(term, step_fn, limit: int, fuel: int):
-    """Terms reachable within ``limit`` steps; (states, complete?)."""
-    cache_key = (canon_key(term), limit, fuel)
-    hit = _REACH_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    seen = {canon_key(term): term}
-    frontier = [term]
-    budget = fuel
-    complete = True
-    for _ in range(limit):
-        nxt = []
-        for t in frontier:
-            if budget <= 0:
-                complete = False
-                break
-            budget -= 1
-            for s in step_fn(t):
-                k = canon_key(s)
-                if k not in seen:
-                    seen[k] = s
-                    nxt.append(s)
-        if not nxt:
-            break
-        frontier = nxt
-    else:
-        complete = False if frontier else complete
-    out = (seen, complete)
-    _REACH_CACHE[cache_key] = out
-    return out
-
-
-_SRC_SUCC_CACHE: dict = {}
-_TGT_SUCC_CACHE: dict = {}
-
-
-def _src_succ(t):
-    k = canon_key(t)
-    hit = _SRC_SUCC_CACHE.get(k)
-    if hit is None:
-        hit = _SRC_SUCC_CACHE[k] = [s for _, s in src_step_all(t)]
-    return hit
-
-
-def _tgt_succ(t):
-    k = canon_key(t)
-    hit = _TGT_SUCC_CACHE.get(k)
-    if hit is None:
-        hit = _TGT_SUCC_CACHE[k] = tgt_step_all(t, frozenset())
-    return hit
-
-
 def check_weak_bisim_pseudo(e: SrcExpr, depth: int = 8,
-                            fuel: int = 200) -> BisimReport:
+                            fuel: int = 200) -> CheckReport:
     """Weak mutual simulation between ``e`` and its pseudo compilation.
 
-    Single steps on either side are matched by bounded multi-step runs on
-    the other, re-converging on the pseudo-compilation image (the extra
-    dummy applications are administrative).
+    A step of a source term ``a`` to ``a2`` is matched when a run of at most
+    4 steps from its pseudo partner ``p`` reaches the pseudo compilation of
+    ``a2``.  A step of ``p`` to ``p2`` is matched when runs of at most 4
+    steps from ``a`` and from ``p2`` re-converge on the pseudo compilation
+    of some source term (the extra dummy applications are administrative).
+    Each run explores at most ``fuel`` states (200 by default).  An
+    unmatched step is a CounterExample only when the runs that failed to
+    match it closed, that is, every path from their start ends within those
+    bounds; otherwise it is FuelExhausted with cause ``run``.  Runs rarely
+    close, so a planted fault usually shows up as FuelExhausted.
     """
     try:
         src_typecheck(e)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"source term is untyped: {exc}") from exc
 
-    limit = 4  # administrative runs are short; bounded per match
-    seen = set()
-    frontier = [(e, pseudo_compile(e))]
-    explored = 0
-    for _ in range(depth):
-        nxt = []
-        for a, p in frontier:
-            k = (canon_key(a), canon_key(p))
-            if k in seen:
-                continue
-            seen.add(k)
-            explored += 1
-            if explored > _MAX_PAIRS:
-                return BisimReport(FUEL_EXHAUSTED, None, explored)
-            sa = _src_succ(a)
-            sp = _src_succ(p)
-            # every source step is matched by a run of the pseudo side
-            if sa:
-                reach, complete = _reachable(p, _src_succ, limit, fuel)
-                for a2 in sa:
-                    target = canon_key(pseudo_compile(a2))
-                    if target not in reach:
-                        if not complete:
-                            return BisimReport(FUEL_EXHAUSTED, ((a, p), a2),
-                                               explored)
-                        return BisimReport(COUNTEREXAMPLE,
-                                           ((a, p), ("src", a2)), explored)
-                    nxt.append((a2, pseudo_compile(a2)))
-            # every pseudo step re-converges with the image of some source run
-            if sp:
-                cand, complete_a = _reachable(a, _src_succ, limit, fuel)
-                images = {canon_key(pseudo_compile(a2)): a2
-                          for a2 in cand.values()}
-            for p2 in sp:
-                reach2, complete_p = _reachable(p2, _src_succ, limit, fuel)
-                hit = None
-                for k2 in reach2:
-                    if k2 in images:
-                        hit = images[k2]
-                        break
-                if hit is None:
-                    if not (complete_a and complete_p):
-                        return BisimReport(FUEL_EXHAUSTED, ((a, p), p2),
-                                           explored)
-                    return BisimReport(COUNTEREXAMPLE, ((a, p), ("pseudo", p2)),
-                                       explored)
-                nxt.append((hit, pseudo_compile(hit)))
-        frontier = [q for q in nxt
-                    if (canon_key(q[0]), canon_key(q[1])) not in seen]
-        if not frontier:
-            return BisimReport(OK, None, explored)
-    return BisimReport(FUEL_EXHAUSTED, None, explored)
+    def unmatched(pair, side, term, closed):
+        if closed:
+            return Stop(CheckReport(COUNTEREXAMPLE, (pair, (side, term))))
+        return Stop(CheckReport(FUEL_EXHAUSTED, (pair, (side, term)),
+                                cause="run"))
+
+    def step(pair):
+        a, p = pair
+        sa, sp = _succ(a), _succ(p)
+        out = []
+        # every source step is matched by a run of the pseudo side
+        if sa:
+            reach, closed = _reachable(p, fuel)
+            for a2 in sa:
+                image = pseudo_compile(a2)
+                if canon_key(image) not in reach:
+                    raise unmatched(pair, "src", a2, closed)
+                out.append((a2, image))
+        # every pseudo step re-converges with the image of some source run
+        if sp:
+            cand, closed_a = _reachable(a, fuel)
+            images = {canon_key(pseudo_compile(a2)): a2 for a2 in cand.values()}
+        for p2 in sp:
+            reach2, closed_p = _reachable(p2, fuel)
+            hit = next((images[k] for k in reach2 if k in images), None)
+            if hit is None:
+                raise unmatched(pair, "pseudo", p2, closed_a and closed_p)
+            out.append((hit, pseudo_compile(hit)))
+        return out
+
+    return _verdict(explore((e, pseudo_compile(e)), step, depth,
+                            limit=_MAX_PAIRS, key=_pair_key))
 
 
 # ---------------------------------------------------------------------------
@@ -237,34 +206,20 @@ def check_subject_reduction(m: TgtExpr, depth: int = 8) -> CheckReport:
         raise PreconditionViolated(f"root term is untyped: {exc}") from exc
     root_eff = p0.denote()
 
-    seen = set()
-    frontier = [m]
-    explored = 0
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            k = canon_key(t)
-            if k in seen:
-                continue
-            seen.add(k)
-            explored += 1
-            for s in tgt_step_all(t, frozenset()):
-                try:
-                    t1, p1 = effect_typecheck(TargetEnv(), s)
-                except SrcTypeError as exc:
-                    return CheckReport(COUNTEREXAMPLE, (s, f"untyped: {exc}"),
-                                       explored)
-                if not subtype(t1, t0):
-                    return CheckReport(COUNTEREXAMPLE, (s, "type not preserved"),
-                                       explored)
-                if not eff.includes(p1.denote(), root_eff):
-                    return CheckReport(COUNTEREXAMPLE, (s, "effect grew"),
-                                       explored)
-                nxt.append(s)
-        frontier = [t for t in nxt if canon_key(t) not in seen]
-        if not frontier:
-            return CheckReport(OK, None, explored)
-    return CheckReport(FUEL_EXHAUSTED, None, explored)
+    def step(t):
+        succ = tgt_step_all(t, frozenset())
+        for s in succ:
+            try:
+                t1, p1 = effect_typecheck(TargetEnv(), s)
+            except SrcTypeError as exc:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (s, f"untyped: {exc}")))
+            if not subtype(t1, t0):
+                raise Stop(CheckReport(COUNTEREXAMPLE, (s, "type not preserved")))
+            if not eff.includes(p1.denote(), root_eff):
+                raise Stop(CheckReport(COUNTEREXAMPLE, (s, "effect grew")))
+        return succ
+
+    return _verdict(explore(m, step, depth))
 
 
 def check_non_coordination(m: TgtExpr, depth: int = 8) -> CheckReport:
@@ -275,35 +230,19 @@ def check_non_coordination(m: TgtExpr, depth: int = 8) -> CheckReport:
     except SrcTypeError as exc:
         raise PreconditionViolated(f"root term is untyped: {exc}") from exc
 
-    seen = set()
-    frontier = [m]
-    explored = 0
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            k = canon_key(t)
-            if k in seen:
-                continue
-            seen.add(k)
-            explored += 1
-            coord = tgt_step_all(t, frozenset())
-            nc = {canon_key(s) for s in tgt_step_nc(t)}
-            for s in coord:
-                if canon_key(s) not in nc:
-                    return CheckReport(COUNTEREXAMPLE, (t, s), explored)
-                nxt.append(s)
-        frontier = [t for t in nxt if canon_key(t) not in seen]
-        if not frontier:
-            return CheckReport(OK, None, explored)
-    return CheckReport(FUEL_EXHAUSTED, None, explored)
+    def step(t):
+        coord = tgt_step_all(t, frozenset())
+        nc = {canon_key(s) for s in tgt_step_nc(t)}
+        for s in coord:
+            if canon_key(s) not in nc:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (t, s)))
+        return coord
+
+    return _verdict(explore(m, step, depth))
 
 
 # ---------------------------------------------------------------------------
 # random well-typed source programs
-
-class _GiveUp(Exception):
-    pass
-
 
 def _gen_type(rng, depth=0):
     if depth >= 2 or rng.random() < 0.6:
@@ -389,7 +328,8 @@ def end_to_end(e: SrcExpr, fuel: int = 200, alpha: str = "a") -> CheckReport:
     tgt_res = tgt_eval(m, frozenset(), fuel=fuel)
     explored = src_res.explored + tgt_res.explored
     if src_res.exhausted or tgt_res.exhausted:
-        return CheckReport(FUEL_EXHAUSTED, None, explored)
+        return CheckReport(FUEL_EXHAUSTED, None, explored,
+                           src_res.cause or tgt_res.cause)
 
     src_nfs = {canon_key(pseudo_compile(nf)): nf for nf in src_res.normal_forms}
     tgt_nfs = {canon_key(erase(nf)): nf for nf in tgt_res.normal_forms}

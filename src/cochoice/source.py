@@ -8,10 +8,11 @@ call time, so every branch combination gets explored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .syntax import (
-    ADD, Add, App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, SrcType,
-    Var, is_src_value, subst_term,
+    Add, App, Arrow, Choice, Fix, Lam, NAT, Num, SrcExpr, SrcType, Var,
+    canon_key, is_src_value, subst_term,
 )
 
 
@@ -120,74 +121,103 @@ def choice_leaves(e: SrcExpr) -> list[SrcExpr]:
     return [e]
 
 
+class Stop(Exception):
+    """Raised by a ``step`` function to end a search with verdict ``args[0]``."""
+
+
+@dataclass
+class Search:
+    """What ``explore`` found.  ``cause`` names the budget that left a state
+    unexpanded, ``"depth"`` or ``"states"``; it is None when the search
+    closed or when a step raised ``Stop(verdict)``."""
+
+    found: dict        # key -> state, in the order found, the start first
+    expanded: int      # states whose successors were asked for
+    cause: str | None
+    verdict: object = None
+
+
+def explore(start, step, depth: int | None = None, limit: int | None = None,
+            key=None) -> Search:
+    """Breadth-first search from ``start`` that finds each state once by key.
+
+    ``step(state)`` returns the successors of a state, or raises ``Stop``.
+    States found ``depth`` steps from the start are not expanded, and at
+    most ``limit`` states are expanded.  A search that leaves a found state
+    unexpanded does not close, and ``cause`` names the budget that ran out.
+    ``key`` defaults to this module's ``canon_key`` as bound at call time.
+    """
+    key = key or canon_key
+    found = {key(start): start}
+    frontier = [start]
+    expanded = level = 0
+    while frontier:
+        if depth is not None and level >= depth:
+            return Search(found, expanded, "depth")
+        nxt = []
+        for state in frontier:
+            if limit is not None and expanded >= limit:
+                return Search(found, expanded, "states")
+            expanded += 1
+            try:
+                succ = step(state)
+            except Stop as stop:
+                return Search(found, expanded, None, stop.args[0])
+            for s in succ:
+                k = key(s)
+                if k not in found:
+                    found[k] = s
+                    nxt.append(s)
+        frontier = nxt
+        level += 1
+    return Search(found, expanded, None)
+
+
 @dataclass
 class EvalResult:
     normal_forms: list = field(default_factory=list)
-    exhausted: bool = False   # fuel ran out, or the state graph has a cycle
     stuck: list = field(default_factory=list)
-    explored: int = 0         # states visited
+    explored: int = 0         # states expanded
+    cause: str | None = None  # "states" (fuel ran out) or "cycle"
+
+    @property
+    def exhausted(self) -> bool:
+        """Fuel ran out, or the state graph has a cycle."""
+        return self.cause is not None
 
 
 def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
-    """Explore a step relation exhaustively (BFS) and collect normal forms.
+    """Explore a step relation exhaustively and collect normal forms.
 
-    A normal form is a state with no successors.  ``exhausted`` is set when
-    the fuel budget runs out with states still pending, or when the explored
-    graph contains a cycle (an infinite reduction path).
+    A normal form is a state with no successors.  The search expands at
+    most ``fuel`` states; ``cause`` is ``"states"`` when states are left
+    pending, and ``"cycle"`` when the explored graph contains a cycle (an
+    infinite reduction path).
     """
-    from .syntax import canon_key
-
     res = EvalResult()
-    seen = set()
     edges: dict = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            k = canon_key(t)
-            if k in seen:
-                continue
-            seen.add(k)
-            if res.explored >= fuel:
-                res.exhausted = True
-                return res
-            res.explored += 1
-            succ = succ_fn(t)
-            if not succ:
-                res.normal_forms.append(t)
-                if stuck_fn is not None and not stuck_fn(t):
-                    res.stuck.append(t)
-            else:
-                edges[k] = {canon_key(s) for s in succ}
-                nxt.extend(succ)
-        frontier = nxt
-    if _has_cycle(edges):
-        res.exhausted = True
+
+    def step(t):
+        succ = succ_fn(t)
+        if not succ:
+            res.normal_forms.append(t)
+            if stuck_fn is not None and not stuck_fn(t):
+                res.stuck.append(t)
+        else:
+            edges[canon_key(t)] = {canon_key(s) for s in succ}
+        return succ
+
+    search = explore(start, step, limit=fuel)
+    res.explored = search.expanded
+    res.cause = search.cause or ("cycle" if _has_cycle(edges) else None)
     return res
 
 
 def _has_cycle(edges: dict) -> bool:
-    color: dict = {}  # 1 = on stack, 2 = done
-    for root in edges:
-        if root in color:
-            continue
-        stack = [(root, iter(edges.get(root, ())))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for child in it:
-                c = color.get(child)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[child] = 1
-                    stack.append((child, iter(edges.get(child, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    try:
+        TopologicalSorter(edges).prepare()
+    except CycleError:
+        return True
     return False
 
 

@@ -19,11 +19,11 @@ from . import effects as eff
 from .names import is_name_var, name_vars, normalize_name
 from .source import (
     FixBodyNotLambda, NonFunctionApplication, SrcTypeError, TypeMismatch,
-    UnboundVariable,
+    UnboundVariable, bfs_eval,
 )
 from .syntax import (
     TAdd, TApp, TArrow, TChoice, TFix, TForall, TLam, TNAT, TNameAbs,
-    TNameApp, TNat, TNum, TVar, TgtExpr, TgtType, alpha_eq, canon_key, fresh,
+    TNameApp, TNat, TNum, TVar, TgtExpr, TgtType, canon_key, fresh,
     free_name_vars, is_tgt_value, name_subst, subst_term,
 )
 
@@ -446,16 +446,12 @@ def tgt_eval(m: TgtExpr, delta=frozenset(), fuel: int = 10000):
 
     Returns an ``EvalResult`` like the source evaluator.
     """
-    from .source import bfs_eval
-
     delta = _norm_world(delta)
     return bfs_eval(m, lambda t: tgt_step_all(t, delta), fuel, _is_answer)
 
 
 def tgt_eval_nc(m: TgtExpr, fuel: int = 10000):
     """Like ``tgt_eval`` but under the non-coordinated relation."""
-    from .source import bfs_eval
-
     return bfs_eval(m, tgt_step_nc, fuel, _is_answer)
 
 

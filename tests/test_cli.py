@@ -127,6 +127,16 @@ def test_suite_line_format(capsys):
         assert parts["status"] != "FAIL"
 
 
+def test_suite_fuel_lines_name_their_cause(capsys):
+    code, out, _ = run(capsys, "suite", "--n", "1", "--seed", "3", "--size", "20")
+    assert code == 0
+    fuel = [dict(p.split("=", 1) for p in line.split())
+            for line in out.splitlines() if "status=FUEL" in line]
+    assert fuel
+    assert all(parts["cause"] in {"depth", "states", "run", "cycle"}
+               for parts in fuel)
+
+
 def test_effect_subcommands(capsys):
     code, out, _ = run(capsys, "effect", "member", "o b", "o (o+b)*")
     assert code == 0 and out.strip() == "true"

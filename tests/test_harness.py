@@ -1,10 +1,13 @@
 """Verification harness: bisimulation checks, metatheory checks, the source
 program generator, and end-to-end runs."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochoice.compiler import compile_expr
+from cochoice import harness
+from cochoice.compiler import compile_expr, pseudo_compile
 from cochoice.harness import (
     OK, COUNTEREXAMPLE, FUEL_EXHAUSTED, PreconditionViolated,
     check_strong_bisim, check_weak_bisim_pseudo,
@@ -36,7 +39,6 @@ def closed_compile(e, alpha="a"):
 
 def test_strong_bisim_ok_example():
     e = src("(\\x:nat. (x || 7)) (3 || 5)")
-    from cochoice.compiler import pseudo_compile
     rep = check_strong_bisim(pseudo_compile(e), closed_compile(e))
     assert rep.status == OK
     assert rep.explored > 0
@@ -111,6 +113,73 @@ def test_non_coordination_negative_control():
     assert coord - nc  # genuine coordination happened
 
 
+# ------------------------------------------------------ negative controls
+#
+# Each case plants a fault into the harness namespace and checks that the
+# check it targets reports it on a program the check passes unmutated.  The
+# memos are swapped for empty ones: memos warmed by the unmutated run would
+# answer with the correct successors and hide the fault.
+
+def _drop_last_successor(real):
+    return lambda t, world: real(t, world)[:-1]
+
+
+def _step_to_untyped(real):
+    return lambda t, world: [tgt("1 2")] if real(t, world) else []
+
+
+def _no_steps(real):
+    return lambda t: []
+
+
+def _drop_normal_form(real):
+    def mutant(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, normal_forms=res.normal_forms[:-1])
+    return mutant
+
+
+def _swap_choice(real):
+    def mutant(e):
+        p = real(e)
+        return Choice(p.right, p.left) if isinstance(p, Choice) else p
+    return mutant
+
+
+DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
+
+
+@pytest.mark.parametrize("fault, mutate, check, text, status, cause", [
+    ("tgt_step_all", _drop_last_successor,
+     lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
+     DEMO, COUNTEREXAMPLE, None),
+    ("tgt_step_all", _step_to_untyped,
+     lambda e: check_subject_reduction(closed_compile(e)),
+     DEMO, COUNTEREXAMPLE, None),
+    ("tgt_step_nc", _no_steps,
+     lambda e: check_non_coordination(closed_compile(e)),
+     DEMO, COUNTEREXAMPLE, None),
+    ("tgt_eval", _drop_normal_form, end_to_end, DEMO, COUNTEREXAMPLE, None),
+    # the image of the choice successor is unreachable, but the 4-step
+    # matching run from the pseudo side does not close, so the weak check
+    # cannot certify a counterexample
+    ("pseudo_compile", _swap_choice, check_weak_bisim_pseudo,
+     "(\\x:nat. x) (1 || 2)", FUEL_EXHAUSTED, "run"),
+], ids=["strong_bisim", "subject_reduction", "non_coordination",
+        "end_to_end", "weak_bisim"])
+def test_negative_control(monkeypatch, fault, mutate, check, text, status,
+                          cause):
+    e = src(text)
+    assert check(e).status == OK
+    monkeypatch.setattr(harness, fault, mutate(getattr(harness, fault)))
+    monkeypatch.setattr(harness, "_SUCC", {})
+    monkeypatch.setattr(harness, "_REACH", {})
+    rep = check(e)
+    assert (rep.status, rep.cause) == (status, cause)
+    if mutate is _step_to_untyped:
+        assert rep.witness[1].startswith("untyped")
+
+
 # ------------------------------------------------------------- generator
 
 def test_generator_deterministic():
@@ -140,6 +209,7 @@ def test_end_to_end_examples():
 def test_end_to_end_divergent():
     rep = end_to_end(src("(fix f:nat->nat. \\x:nat. f x) 0"), fuel=100)
     assert rep.status == FUEL_EXHAUSTED
+    assert rep.cause == "cycle"
     assert rep.explored > 0
 
 

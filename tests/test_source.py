@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cochoice import source
 from cochoice.parser import parse
 from cochoice.printer import format_expr
 from cochoice.source import (
-    src_typecheck, src_step_all, src_eval, choice_leaves,
-    UnboundVariable, TypeMismatch, NonFunctionApplication, FixBodyNotLambda,
+    src_typecheck, src_step_all, src_eval, choice_leaves, explore, bfs_eval,
+    Stop, UnboundVariable, TypeMismatch, NonFunctionApplication,
+    FixBodyNotLambda,
 )
 from cochoice.syntax import (
     NAT, Arrow, Var, App, Lam, Fix, Choice, Num, ADD, alpha_eq,
@@ -107,6 +109,64 @@ def test_divergent_term_exhausts():
 def test_stuck_term_reported():
     res = src_eval(App(Num(1), Num(2)))
     assert res.stuck
+
+
+# -------------------------------------------------------------- explorer
+
+def ident(s):
+    return s
+
+
+def chain(n):
+    """Successors of the path 0 -> 1 -> ... -> n-1."""
+    return lambda s: [s + 1] if s + 1 < n else []
+
+
+def test_explore_does_not_expand_states_at_depth():
+    search = explore(0, lambda s: [s + 1], depth=2, key=ident)
+    assert list(search.found) == [0, 1, 2]
+    assert search.expanded == 2
+    assert search.cause == "depth"
+    closed = explore(0, chain(3), depth=3, key=ident)
+    assert closed.expanded == 3 and closed.cause is None
+
+
+def test_explore_expands_at_most_limit_states():
+    closed = explore(0, chain(5), limit=5, key=ident)
+    assert closed.expanded == 5 and closed.cause is None
+    cut = explore(0, chain(6), limit=5, key=ident)
+    assert cut.expanded == 5 and cut.cause == "states"
+    assert list(cut.found) == [0, 1, 2, 3, 4, 5]
+
+
+def test_explore_finds_each_state_once():
+    # a diamond 0 -> {1, 2} -> 3: state 3 is found twice, expanded once
+    succ = {0: [1, 2], 1: [3], 2: [3], 3: []}
+    search = explore(0, succ.__getitem__, key=ident)
+    assert list(search.found) == [0, 1, 2, 3]
+    assert search.expanded == 4 and search.cause is None
+
+
+def test_explore_stops_with_a_verdict():
+    def step(s):
+        if s == 2:
+            raise Stop("two")
+        return [s + 1]
+
+    search = explore(0, step, key=ident)
+    assert search.verdict == "two"
+    assert search.expanded == 3 and search.cause is None
+
+
+def test_bfs_eval_reports_a_cycle(monkeypatch):
+    monkeypatch.setattr(source, "canon_key", ident)
+    res = bfs_eval(0, lambda s: [(s + 1) % 3], fuel=100)
+    assert res.exhausted and res.cause == "cycle"
+    assert res.explored == 3 and res.normal_forms == []
+    acyclic = bfs_eval(0, chain(3), fuel=100)
+    assert not acyclic.exhausted and acyclic.normal_forms == [2]
+    cut = bfs_eval(0, chain(3), fuel=2)
+    assert cut.cause == "states" and cut.explored == 2
 
 
 # --------------------------------------------------------------- properties
