@@ -22,7 +22,7 @@ from .printer import format_any, format_effect, format_type
 from .source import SrcTypeError, src_eval, src_step_all, src_typecheck
 from .syntax import name_subst
 from .target import (
-    TargetEnv, TgtTypeError, effect_typecheck, tgt_eval, tgt_eval_nc,
+    TargetEnv, effect_typecheck, tgt_eval, tgt_eval_nc,
     tgt_step_trace,
 )
 
@@ -144,7 +144,7 @@ def _dispatch(ns) -> int:
         m = _parse("tgt", ns.file)
         try:
             t, p = effect_typecheck(TargetEnv(), m)
-        except TgtTypeError as exc:
+        except SrcTypeError as exc:  # the target errors derive from it
             print(f"type error: {exc}", file=sys.stderr)
             return 1
         print(f"{format_type(t)} & {format_effect(p.denote())}")

@@ -1,8 +1,12 @@
 """Effects: regular expressions over name atoms, with decision procedures.
 
-The language of an effect is a set of names (words of atoms).  Decisions are
-made with Brzozowski derivatives kept in a similarity-canonical form, which
-guarantees termination of the pairwise fixpoint procedures.
+The language of an effect is a set of names (words of atoms).  Emptiness
+(``is_empty_lang``) and the atoms that begin some word (``first_atoms``)
+follow from the structure of the expression, in one pass, because effects
+have no intersection or complement.  Inclusion and overlap are decided with
+Brzozowski derivatives kept in a similarity-canonical form, which guarantees
+termination of the pairwise fixpoint procedures; ``includes`` keeps its
+answers in a bounded cache keyed on the operands' interned ids.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .node import Interned
 
 
 class Effect(Interned):
-    __slots__ = ()
+    __slots__ = ("_order",)  # repr(self) once computed: see _order
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -73,8 +77,22 @@ def cat(a: Effect, b: Effect) -> Effect:
     return Cat(a, b)
 
 
+def _order(e: Effect) -> str:
+    """The sort key of alternation parts: ``repr(e)``, kept in a slot.
+
+    The order shows in printed effects, so it must not depend on ids, which
+    differ from process to process.
+    """
+    try:
+        return e._order
+    except AttributeError:
+        r = repr(e)
+        object.__setattr__(e, "_order", r)
+        return r
+
+
 def alt(*effs: Effect) -> Effect:
-    """Canonical alternation: flat, deduplicated, sorted (ACI)."""
+    """Canonical alternation: flat, deduplicated, sorted by ``repr`` (ACI)."""
     parts: list[Effect] = []
     for e in effs:
         if isinstance(e, Alt):
@@ -83,7 +101,7 @@ def alt(*effs: Effect) -> Effect:
             continue
         else:
             parts.append(e)
-    uniq = sorted(set(parts), key=repr)
+    uniq = sorted(set(parts), key=_order)
     if not uniq:
         return EMPTY
     if len(uniq) == 1:
@@ -171,20 +189,31 @@ def member(w, e: Effect) -> bool:
     return nullable(e)
 
 
-@lru_cache(maxsize=None)
 def is_empty_lang(e: Effect) -> bool:
-    seen = {e}
-    stack = [e]
-    while stack:
-        d = stack.pop()
-        if nullable(d):
-            return False
-        for a in alphabet(d):
-            d2 = deriv(d, a)
-            if d2 not in seen:
-                seen.add(d2)
-                stack.append(d2)
-    return True
+    """True iff L(e) is empty."""
+    if isinstance(e, Empty):
+        return True
+    if isinstance(e, Cat):
+        return is_empty_lang(e.left) or is_empty_lang(e.right)
+    if isinstance(e, Alt):
+        return all(is_empty_lang(p) for p in e.parts)
+    return False  # Lit, Star
+
+
+def first_atoms(e: Effect) -> frozenset:
+    """The atoms that begin some word of L(e): those whose derivative is not empty."""
+    if isinstance(e, Lit):
+        return frozenset(e.word[:1])
+    if isinstance(e, Cat):
+        left, right = first_atoms(e.left), first_atoms(e.right)
+        if not (left or nullable(e.left)) or not (right or nullable(e.right)):
+            return frozenset()  # one side's language is empty
+        return left | right if nullable(e.left) else left
+    if isinstance(e, Alt):
+        return frozenset().union(*(first_atoms(p) for p in e.parts))
+    if isinstance(e, Star):
+        return first_atoms(e.inner)
+    return frozenset()
 
 
 def inclusion_witness(e1: Effect, e2: Effect):
@@ -209,8 +238,11 @@ def inclusion_witness(e1: Effect, e2: Effect):
     return None
 
 
+@lru_cache(maxsize=1 << 12)
 def includes(e1: Effect, e2: Effect) -> bool:
     """True iff L(e1) is a subset of L(e2)."""
+    if e1 == e2 or is_empty_lang(e1):
+        return True
     return inclusion_witness(e1, e2) is None
 
 

@@ -530,6 +530,7 @@ def _atom_key(a) -> int:
     return _intern(("nf", a) if is_name_var(a) else ("atom", a))
 
 
+@lru_cache(maxsize=1 << 12)
 def _name_key(word) -> int:
     return _intern(("name", *map(_atom_key, normalize_name(word))))
 

@@ -212,24 +212,25 @@ def mk_pnf(prefix, suffix: eff.Effect) -> EffectPNF:
     return EffectPNF(False, normalize_name(prefix), suffix)
 
 
+@lru_cache(maxsize=1 << 12)
 def effect_pnf(e: eff.Effect) -> EffectPNF:
     """Extract the maximal forced prefix of ``e``; the residual must be closed.
 
     An atom is forced when every word of the language starts with it; forced
     atoms (including name variables) are peeled into the prefix by
     derivation.  Raises ``NonClosedResidual`` if name variables survive into
-    the residual.
+    the residual.  Results are cached, boundedly, on the effect's id.
     """
     if eff.is_empty_lang(e):
         return BOTTOM
     prefix = []
     while not eff.nullable(e):
-        viable = [a for a in sorted(eff.alphabet(e))
-                  if not eff.is_empty_lang(eff.deriv(e, a))]
-        if len(viable) != 1:
+        first = eff.first_atoms(e)
+        if len(first) != 1:
             break
-        prefix.append(viable[0])
-        e = eff.deriv(e, viable[0])
+        (a,) = first
+        prefix.append(a)
+        e = eff.deriv(e, a)
     if not eff.is_closed(e):
         raise NonClosedResidual(
             f"name variables left in effect residue: {e}")

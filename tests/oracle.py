@@ -1,6 +1,6 @@
 """Brute-force reference implementations used to cross-check the effect
-decision procedures and the alpha-equivalence keys, plus a deterministic
-random-effect generator."""
+decision procedures, the prefix normal form and the alpha-equivalence keys,
+plus a deterministic random-effect generator."""
 
 from cochoice import effects as eff
 from cochoice.names import is_name_var, normalize_name
@@ -8,6 +8,7 @@ from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
     TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar, Var,
 )
+from cochoice.target import BOTTOM, EffectPNF, NonClosedResidual
 
 ATOMS = ("o", "b", "al", "be")
 
@@ -89,6 +90,48 @@ def random_effect(rng, size, atoms=ATOMS):
         return eff.alt(random_effect(rng, half, atoms),
                        random_effect(rng, size - half, atoms))
     return eff.star(random_effect(rng, size - 1, atoms))
+
+
+# ---------------------------------------------------------------------------
+# emptiness and prefix normal form by derivative search: the procedures that
+# the structural effects.is_empty_lang and effects.first_atoms replaced, kept
+# as the reference they must agree with
+
+
+def reference_is_empty(e):
+    """True iff no derivative of ``e`` reachable over its alphabet is nullable."""
+    seen = {e}
+    stack = [e]
+    while stack:
+        d = stack.pop()
+        if eff.nullable(d):
+            return False
+        for a in eff.alphabet(d):
+            d2 = eff.deriv(d, a)
+            if d2 not in seen:
+                seen.add(d2)
+                stack.append(d2)
+    return True
+
+
+def reference_pnf(e):
+    """``target.effect_pnf`` with every forced atom found by testing each
+    atom of the alphabet for an empty derivative."""
+    if reference_is_empty(e):
+        return BOTTOM
+    prefix = []
+    while not eff.nullable(e):
+        viable = [a for a in sorted(eff.alphabet(e))
+                  if not reference_is_empty(eff.deriv(e, a))]
+        if len(viable) != 1:
+            break
+        prefix.append(viable[0])
+        e = eff.deriv(e, viable[0])
+    if not eff.is_closed(e):
+        raise NonClosedResidual(f"name variables left in effect residue: {e}")
+    if reference_is_empty(e):
+        return BOTTOM
+    return EffectPNF(False, tuple(prefix), e)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
 from cochoice.parser import ParseError, parse
 from cochoice.printer import format_expr, format_type, format_effect
-from cochoice.syntax import alpha_eq
+from cochoice.syntax import alpha_eq, name_subst
 
 
 def run(capsys, *argv):
@@ -65,9 +65,28 @@ def test_tgt_check(tmp_path, capsys):
 
 
 def test_tgt_check_failure(tmp_path, capsys):
-    f = term_file(tmp_path, "((1 ||{o} 2) ||{o} 3)")
-    code, _, err = run(capsys, "tgt-check", f)
-    assert code == 1 and "type error" in err
+    # a reused name, a free variable, a number applied
+    for text in ["((1 ||{o} 2) ||{o} 3)", "x", "(\\x:nat. x) 1 2"]:
+        f = term_file(tmp_path, text)
+        code, _, err = run(capsys, "tgt-check", f)
+        assert code == 1 and "type error" in err
+
+
+@pytest.mark.parametrize("i, seed, expected", [
+    (37, ("o",), "nat -> all g1.{g1 o (o (b + o b) + b)} nat & {}"),
+    (74, ("o",), "nat & o (b + o o b b)"),
+    (185, ("o",),
+     "(nat -> all a2.{a2 (b + o)*} nat) -> all a1.{a1 (b + o)*} nat & {}"),
+    (259, (), "nat & b (b + o)* + o o (o (b + o b) + b + o b)"),
+    (259, ("b", "o"),
+     "nat & b o (b (b + o)* + o o (o (b + o b) + b + o b))"),
+])
+def test_tgt_check_prints_alternatives_in_a_fixed_order(
+        tmp_path, capsys, i, seed, expected):
+    m = name_subst(compile_expr(gen_typed_source(i, 5 + i % 26), "a", seed),
+                   "a", ())
+    code, out, _ = run(capsys, "tgt-check", term_file(tmp_path, format_expr(m)))
+    assert code == 0 and out.strip() == expected
 
 
 def test_tgt_eval_with_world(tmp_path, capsys):

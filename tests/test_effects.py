@@ -8,13 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from cochoice import effects as eff
 from cochoice.effects import (
-    EMPTY, EPS_EFF, Lit, alt, cat, star, lit,
+    EMPTY, EPS_EFF, Alt, Cat, Lit, Star, alt, cat, star, lit,
     nullable, deriv, member, includes, disjoint, lang_eq,
-    inclusion_witness, overlap_witness, is_empty_lang,
+    inclusion_witness, overlap_witness, is_empty_lang, first_atoms,
     effect_subst, effect_vars, is_closed,
     quotient_word, CoverageError,
 )
-from oracle import lang_upto, match_word, random_effect
+from cochoice import target
+from cochoice.compiler import compile_expr
+from cochoice.harness import gen_typed_source
+from cochoice.target import (
+    NonClosedResidual, TargetEnv, effect_pnf, effect_typecheck,
+)
+from oracle import (
+    lang_upto, match_word, random_effect, reference_is_empty, reference_pnf,
+)
 
 O = Lit(("o",))
 B = Lit(("b",))
@@ -89,6 +97,56 @@ def test_is_empty_lang():
     assert is_empty_lang(EMPTY)
     assert is_empty_lang(cat(O, EMPTY))
     assert not is_empty_lang(star(EMPTY))  # contains eps
+
+
+def test_effect_caches_are_bounded():
+    assert includes.cache_info().maxsize is not None
+    assert effect_pnf.cache_info().maxsize is not None
+    assert not hasattr(is_empty_lang, "cache_info")
+
+
+def assert_agrees_with_derivative_search(e):
+    """Emptiness, first atoms and the prefix normal form, all found from
+    structure, equal those found by searching derivatives."""
+    assert is_empty_lang(e) == reference_is_empty(e)
+    assert first_atoms(e) == {a for a in eff.alphabet(e)
+                              if not reference_is_empty(deriv(e, a))}
+    try:
+        want = reference_pnf(e)
+    except NonClosedResidual as exc:
+        with pytest.raises(NonClosedResidual) as got:
+            effect_pnf(e)
+        assert str(got.value) == str(exc)
+    else:
+        assert effect_pnf(e) == want
+
+
+def test_structure_agrees_with_derivatives_on_unreduced_effects():
+    # built without the smart constructors, so empty parts survive
+    for e in [Cat(EMPTY, O), Cat(star(O), EMPTY), Alt((EMPTY, EMPTY)),
+              Alt((EMPTY, B)), Star(EMPTY), Cat(Star(EMPTY), O),
+              Cat(Alt((EMPTY, AL)), Star(Alt((O, EMPTY)))),
+              Cat(Alt((EPS_EFF, Cat(O, EMPTY))), B)]:
+        assert_agrees_with_derivative_search(e)
+
+
+def test_structure_agrees_with_derivatives_on_compiled_latents(monkeypatch):
+    seen = set()
+
+    def record(e):
+        seen.add(e)
+        return effect_pnf(e)
+
+    monkeypatch.setattr(target, "effect_pnf", record)
+    effect_typecheck.cache_clear()  # so every latent reaches effect_pnf again
+    for i in range(0, 300, 5):
+        e = gen_typed_source(i, 5 + i % 26)
+        for seed in [(), ("o",), ("b", "o")]:
+            effect_typecheck(TargetEnv().push_name("al"),
+                             compile_expr(e, "al", seed))
+    assert len(seen) > 100
+    for e in seen:
+        assert_agrees_with_derivative_search(e)
 
 
 def test_effect_vars_and_subst():
@@ -175,6 +233,23 @@ def test_disjointness_agrees_with_enumeration(e1, e2):
     else:
         w = overlap_witness(e1, e2)
         assert match_word(w, e1) and match_word(w, e2)
+
+
+@settings(max_examples=200)
+@given(effect_strategy)
+def test_structure_agrees_with_derivatives(e):
+    assert_agrees_with_derivative_search(e)
+    for a in eff.alphabet(e):
+        assert_agrees_with_derivative_search(deriv(e, a))
+
+
+@settings(max_examples=100)
+@given(st.lists(effect_strategy, min_size=1, max_size=5))
+def test_alternation_parts_are_sorted_by_repr(ps):
+    flat = {q for p in ps for q in (p.parts if isinstance(p, Alt) else (p,))
+            if q != EMPTY}
+    if len(flat) > 1:
+        assert alt(*ps).parts == tuple(sorted(flat, key=repr))
 
 
 @settings(max_examples=100)
