@@ -16,7 +16,8 @@ from .names import OFF, ON, normalize_name
 from .syntax import (
     ADD, Add, App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, SrcType,
     TAdd, TApp, TArrow, TChoice, TFix, TForall, TLam, TNAT, TNameAbs,
-    TNameApp, TNat, TNum, TVar, TgtExpr, TgtType, Var, free_vars, fresh,
+    TNameApp, TNat, TNum, TVar, TgtExpr, TgtType, Var, alpha_eq, canon_key,
+    free_vars, fresh,
 )
 from .target import TargetEnv
 
@@ -155,6 +156,36 @@ def pseudo_compile(e: SrcExpr) -> SrcExpr:
     if isinstance(e, Choice):
         return Choice(pseudo_compile(e.left), pseudo_compile(e.right))
     raise TypeError(f"not a source expression: {e!r}")
+
+
+def adm(p: SrcExpr, memo: dict) -> SrcExpr:
+    """Contract ``(\\y:DUMMY_TY. b) ID_NAT`` to ``b`` (``y`` not free in ``b``)
+    and ``(l || r) ID_NAT`` to ``(l ID_NAT || r ID_NAT)`` in ``p``, under
+    binders too.  ``memo`` maps ``canon_key(t)`` to ``adm(t)``."""
+    k = canon_key(p)
+    if k not in memo:
+        memo[k] = _adm(p, memo)
+    return memo[k]
+
+
+def _adm(p, memo):  # returns p itself when it has no such redex
+    if isinstance(p, App):
+        fn, arg = adm(p.fn, memo), adm(p.arg, memo)
+        if alpha_eq(arg, ID_NAT):
+            if isinstance(fn, Lam) and fn.ann == DUMMY_TY \
+                    and fn.var not in free_vars(fn.body):
+                return fn.body
+            if isinstance(fn, Choice):
+                return Choice(adm(App(fn.left, arg), memo),
+                              adm(App(fn.right, arg), memo))
+        return p if fn is p.fn and arg is p.arg else App(fn, arg)
+    if isinstance(p, (Lam, Fix)):
+        body = adm(p.body, memo)
+        return p if body is p.body else type(p)(p.var, p.ann, body)
+    if isinstance(p, Choice):
+        lhs, rhs = adm(p.left, memo), adm(p.right, memo)
+        return p if lhs is p.left and rhs is p.right else Choice(lhs, rhs)
+    return p
 
 
 @lru_cache(maxsize=None)

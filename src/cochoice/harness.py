@@ -10,15 +10,13 @@ check reports ``OK`` (the search closed with no violation),
 and a FuelExhausted report names its ``cause``:
 
 - ``depth``: states ``depth`` steps from the root were left unexpanded;
-- ``states``: a bisimulation met more than ``_MAX_PAIRS`` pairs, or an
-  ``end_to_end`` evaluation more than ``fuel`` states (subject reduction and
-  non-coordination have no state budget);
-- ``run``: a weak-bisimulation step had no match, and the search for a
-  matching run (``_RUN`` steps, ``fuel`` states) did not close;
+- ``states``: a bisimulation met more than ``_MAX_PAIRS`` pairs, or a weak
+  bisimulation's τ-closure or an ``end_to_end`` evaluation more than
+  ``fuel`` states (subject reduction and non-coordination have none);
 - ``cycle``: an ``end_to_end`` evaluation has an infinite reduction path.
 
-Successors and matching runs are memoized by ``canon_key`` for the life of
-the process; source and target keys differ, so one memo serves both.
+Successors are memoized by ``canon_key`` for the life of the process;
+source and target keys differ, so one memo serves both.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import effects as eff
-from .compiler import compile_expr, erase, pseudo_compile
+from .compiler import adm, compile_expr, erase, pseudo_compile
 from .source import (
     SrcTypeError, Stop, explore, src_eval, src_step_all, src_typecheck,
 )
@@ -44,7 +42,6 @@ COUNTEREXAMPLE = "CounterExample"
 FUEL_EXHAUSTED = "FuelExhausted"
 
 _MAX_PAIRS = 3000  # per-bisimulation state-pair budget
-_RUN = 4           # steps in a weak-bisimulation matching run
 
 
 class PreconditionViolated(Exception):
@@ -56,7 +53,7 @@ class CheckReport:
     status: str
     witness: object = None
     explored: int = 0
-    cause: str | None = None  # of a FuelExhausted: depth, states, run, cycle
+    cause: str | None = None  # of a FuelExhausted: depth, states, cycle
 
 
 BisimReport = CheckReport  # the earlier name of bisimulation reports
@@ -71,12 +68,7 @@ def _verdict(search) -> CheckReport:
     return CheckReport(status, None, search.expanded, search.cause)
 
 
-def _pair_key(pair):
-    return canon_key(pair[0]), canon_key(pair[1])
-
-
 _SUCC: dict = {}
-_REACH: dict = {}
 
 
 def _succ(t) -> list:
@@ -90,15 +82,24 @@ def _succ(t) -> list:
     return hit
 
 
-def _reachable(term, fuel: int):
-    """Terms reachable from ``term`` in at most ``_RUN`` steps, expanding at
-    most ``fuel`` states: (key -> term, closed?), memoized."""
-    k = (canon_key(term), fuel)
-    hit = _REACH.get(k)
-    if hit is None:
-        search = explore(term, _succ, depth=_RUN, limit=fuel)
-        hit = _REACH[k] = (search.found, search.cause is None)
-    return hit
+def _bisim(start, depth, image, moves, side) -> CheckReport:
+    """Strong bisimulation search from ``start``.  ``moves((a, b))`` is the
+    moves (key, term) of ``b`` and the keys that match steps ``a -> a2``,
+    keyed ``image(a2)``.  An unmatched step or move is a CounterExample."""
+    def step(pair):
+        images = {image(a2): a2 for a2 in _succ(pair[0])}
+        out, direct = moves(pair)
+        for k, a2 in images.items():
+            if k not in direct:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, ("src", a2))))
+        for k, b2 in out:
+            if k not in images:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, (side, b2))))
+        return [(images[k], b2) for k, b2 in out]
+
+    return _verdict(explore(
+        start, step, depth, limit=_MAX_PAIRS,
+        key=lambda pair: (canon_key(pair[0]), canon_key(pair[1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +117,11 @@ def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> CheckReport:
     except SrcTypeError as exc:
         raise PreconditionViolated(f"target term is untyped: {exc}") from exc
 
-    def step(pair):
-        a, b = pair
-        sa = _succ(a)
-        eb = [(s, canon_key(erase(s))) for s in _succ(b)]
-        out = []
-        for a2 in sa:
-            ka2 = canon_key(a2)
-            matches = [(a2, s) for s, ke in eb if ke == ka2]
-            if not matches:
-                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, ("src", a2))))
-            out += matches
-        src_keys = {canon_key(a2) for a2 in sa}
-        for b2, ke in eb:
-            if ke not in src_keys:
-                raise Stop(CheckReport(COUNTEREXAMPLE, (pair, ("tgt", b2))))
-        return out
+    def moves(pair):
+        out = [(canon_key(erase(b2)), b2) for b2 in _succ(pair[1])]
+        return out, {k for k, _ in out}
 
-    return _verdict(explore((e, m), step, depth, limit=_MAX_PAIRS,
-                            key=_pair_key))
+    return _bisim((e, m), depth, canon_key, moves, "tgt")
 
 
 # ---------------------------------------------------------------------------
@@ -142,56 +129,37 @@ def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> CheckReport:
 
 def check_weak_bisim_pseudo(e: SrcExpr, depth: int = 8,
                             fuel: int = 200) -> CheckReport:
-    """Weak mutual simulation between ``e`` and its pseudo compilation.
-
-    A step of a source term ``a`` to ``a2`` is matched when a run of at most
-    4 steps from its pseudo partner ``p`` reaches the pseudo compilation of
-    ``a2``.  A step of ``p`` to ``p2`` is matched when runs of at most 4
-    steps from ``a`` and from ``p2`` re-converge on the pseudo compilation
-    of some source term (the extra dummy applications are administrative).
-    Each run explores at most ``fuel`` states (200 by default).  An
-    unmatched step is a CounterExample only when the runs that failed to
-    match it closed, that is, every path from their start ends within those
-    bounds; otherwise it is FuelExhausted with cause ``run``.  Runs rarely
-    close, so a planted fault usually shows up as FuelExhausted.
-    """
+    """Certify that ``e`` is weakly bisimilar to ``pseudo_compile(e)``, with
+    ``adm`` steps as τ, up to ``depth`` source steps (with the strong check on
+    ``erase(compile e) = pseudo_compile e``, the bisimulation half of the
+    paper's correctness argument): ``_bisim`` on pairs ``(a, p)`` with
+    ``adm(p) == pseudo_compile(a)``, where each step in the τ-closure of ``p``
+    (searched over at most ``fuel`` states) is τ or a move, and the class's
+    ``adm``-normal member matches every source step."""
     try:
         src_typecheck(e)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"source term is untyped: {exc}") from exc
+    memo, walked = {}, {}  # for adm; canon_key(q) -> the steps of q
 
-    def unmatched(pair, side, term, closed):
-        if closed:
-            return Stop(CheckReport(COUNTEREXAMPLE, (pair, (side, term))))
-        return Stop(CheckReport(FUEL_EXHAUSTED, (pair, (side, term)),
-                                cause="run"))
+    def moves(pair):
+        cls, out = canon_key(pseudo_compile(pair[0])), []
 
-    def step(pair):
-        a, p = pair
-        sa, sp = _succ(a), _succ(p)
-        out = []
-        # every source step is matched by a run of the pseudo side
-        if sa:
-            reach, closed = _reachable(p, fuel)
-            for a2 in sa:
-                image = pseudo_compile(a2)
-                if canon_key(image) not in reach:
-                    raise unmatched(pair, "src", a2, closed)
-                out.append((a2, image))
-        # every pseudo step re-converges with the image of some source run
-        if sp:
-            cand, closed_a = _reachable(a, fuel)
-            images = {canon_key(pseudo_compile(a2)): a2 for a2 in cand.values()}
-        for p2 in sp:
-            reach2, closed_p = _reachable(p2, fuel)
-            hit = next((images[k] for k in reach2 if k in images), None)
-            if hit is None:
-                raise unmatched(pair, "pseudo", p2, closed_a and closed_p)
-            out.append((hit, pseudo_compile(hit)))
-        return out
+        def tau(q):  # a term walked in an earlier closure returned its moves
+            if canon_key(q) in walked:
+                return []
+            succ = walked[canon_key(q)] = [(canon_key(adm(q2, memo)), q2)
+                                           for q2 in _succ(q)]
+            out.extend((k, q2) for k, q2 in succ if k != cls)
+            return [q2 for k, q2 in succ if k == cls]
 
-    return _verdict(explore((e, pseudo_compile(e)), step, depth,
-                            limit=_MAX_PAIRS, key=_pair_key))
+        closure = explore(pair[1], tau, limit=fuel)
+        if closure.cause is not None:
+            raise Stop(_verdict(closure))
+        return out, {k for k, _ in walked.get(cls, ())}
+
+    return _bisim((e, pseudo_compile(e)), depth,
+                  lambda a: canon_key(pseudo_compile(a)), moves, "pseudo")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Brute-force reference implementations used to cross-check the effect
-decision procedures, the prefix normal form and the alpha-equivalence keys,
-plus a deterministic random-effect generator."""
+decision procedures, the prefix normal form, the alpha-equivalence keys and
+the weak bisimulation check, plus a deterministic random-effect generator."""
 
 from cochoice import effects as eff
+from cochoice.compiler import pseudo_compile
+from cochoice.harness import COUNTEREXAMPLE, FUEL_EXHAUSTED, OK, CheckReport
 from cochoice.names import is_name_var, normalize_name
 from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
     TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar, Var,
+    canon_key,
 )
+from cochoice.source import Stop, explore, src_step_all
 from cochoice.target import BOTTOM, EffectPNF, NonClosedResidual
 
 ATOMS = ("o", "b", "al", "be")
@@ -252,3 +256,71 @@ def _ck(x, tenv, tn, nenv, nn):
         nenv2 = {**nenv, x.var: ("n", nn)}
         return ("nameabs", _ck(x.body, tenv, tn, nenv2, nn + 1))
     raise TypeError(f"cannot canonicalize: {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# weak bisimulation by bounded matching runs: the check that the strong check
+# modulo administrative steps (harness.check_weak_bisim_pseudo) replaced, kept
+# as the reference it must agree with wherever this one decides
+
+
+def reference_weak_bisim(e, depth=8, fuel=200, run=4, max_pairs=3000):
+    """Weak mutual simulation between ``e`` and ``pseudo_compile(e)``.
+
+    A source step ``a -> a2`` is matched when a run of at most ``run`` steps
+    from the pseudo partner reaches ``pseudo_compile(a2)``; a pseudo step
+    ``p -> p2`` is matched when runs of at most ``run`` steps from ``a`` and
+    from ``p2`` re-converge on the pseudo compilation of some source term.
+    Each run expands at most ``fuel`` states.  An unmatched step is a
+    CounterExample only when the runs that failed to match it closed, and
+    otherwise FuelExhausted with the cause that stopped a run.
+    """
+    succs, reached = {}, {}
+
+    def succ(t):
+        k = canon_key(t)
+        if k not in succs:
+            succs[k] = [s for _, s in src_step_all(t)]
+        return succs[k]
+
+    def reachable(t):
+        k = canon_key(t)
+        if k not in reached:
+            search = explore(t, succ, depth=run, limit=fuel)
+            reached[k] = (search.found, search.cause)
+        return reached[k]
+
+    def unmatched(pair, side, term, cause):
+        status = COUNTEREXAMPLE if cause is None else FUEL_EXHAUSTED
+        return Stop(CheckReport(status, (pair, (side, term)), cause=cause))
+
+    def step(pair):
+        a, p = pair
+        sa, sp = succ(a), succ(p)
+        out = []
+        if sa:
+            reach, cause = reachable(p)
+            for a2 in sa:
+                image = pseudo_compile(a2)
+                if canon_key(image) not in reach:
+                    raise unmatched(pair, "src", a2, cause)
+                out.append((a2, image))
+        if sp:
+            cand, cause_a = reachable(a)
+            images = {canon_key(pseudo_compile(a2)): a2
+                      for a2 in cand.values()}
+        for p2 in sp:
+            reach2, cause_p = reachable(p2)
+            hit = next((images[k] for k in reach2 if k in images), None)
+            if hit is None:
+                raise unmatched(pair, "pseudo", p2, cause_a or cause_p)
+            out.append((hit, pseudo_compile(hit)))
+        return out
+
+    search = explore((e, pseudo_compile(e)), step, depth, limit=max_pairs,
+                     key=lambda pair: (canon_key(pair[0]), canon_key(pair[1])))
+    if search.verdict is not None:
+        search.verdict.explored = search.expanded
+        return search.verdict
+    return CheckReport(OK if search.cause is None else FUEL_EXHAUSTED, None,
+                       search.expanded, search.cause)

@@ -152,7 +152,7 @@ def test_suite_fuel_lines_name_their_cause(capsys):
     fuel = [dict(p.split("=", 1) for p in line.split())
             for line in out.splitlines() if "status=FUEL" in line]
     assert fuel
-    assert all(parts["cause"] in {"depth", "states", "run", "cycle"}
+    assert all(parts["cause"] in {"depth", "states", "cycle"}
                for parts in fuel)
 
 

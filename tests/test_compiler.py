@@ -10,14 +10,15 @@ from cochoice.syntax import (
     NAT, Arrow, TNAT, TArrow, TForall,
     Var, App, Lam, Choice, Num, ADD,
     TVar, TApp, TChoice, TNameApp,
-    alpha_eq, subst_term, name_subst,
+    alpha_eq, canon_key, subst_term, name_subst,
 )
 from cochoice.compiler import (
     ID_NAT, DUMMY_TY, BuiltinNotCompilable,
     compile_expr, compile_type, compile_env,
-    erase, erase_type, pseudo_compile, pseudo_type, collect_choice_names,
+    erase, erase_type, pseudo_compile, pseudo_type, collect_choice_names, adm,
 )
 from cochoice.harness import gen_typed_source
+from cochoice.source import explore, src_step_all
 
 
 def src(text):
@@ -95,6 +96,19 @@ def test_pseudo_examples():
     assert pseudo_type(Arrow(NAT, NAT)) == Arrow(NAT, Arrow(DUMMY_TY, NAT))
 
 
+def test_adm_examples():
+    dummy = Lam("y", DUMMY_TY, Var("x"))
+    assert adm(App(dummy, ID_NAT), {}) == Var("x")
+    # y is free in the body, so this is no administrative redex
+    assert adm(App(Lam("y", DUMMY_TY, Var("y")), ID_NAT), {}) == \
+        App(Lam("y", DUMMY_TY, Var("y")), ID_NAT)
+    assert adm(App(Choice(dummy, Num(1)), ID_NAT), {}) == \
+        Choice(Var("x"), App(Num(1), ID_NAT))
+    assert adm(Lam("z", NAT, App(dummy, ID_NAT)), {}) == \
+        Lam("z", NAT, Var("x"))
+    assert adm(App(dummy, Num(0)), {}) == App(dummy, Num(0))
+
+
 # -------------------------------------------------------------- properties
 
 terms = st.builds(
@@ -155,3 +169,44 @@ def test_pseudo_commutes_with_substitution(e1, e2):
 def test_name_substitution_invisible_after_erasure(e):
     m = compile_expr(e, "al", ())
     assert alpha_eq(erase(name_subst(m, "al", ("o", "b"))), erase(m))
+
+
+def _succ(t):
+    return [s for _, s in src_step_all(t)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms)
+def test_pseudo_images_are_adm_normal_and_adm_is_idempotent(e):
+    p = pseudo_compile(e)
+    assert alpha_eq(adm(p, {}), p)
+    memo = {}
+    for q in explore(p, _succ, depth=4, limit=40).found.values():
+        r = adm(q, {})
+        assert alpha_eq(adm(r, {}), r)
+        assert alpha_eq(adm(q, memo), r)  # a memo shared across terms
+
+
+def test_pseudo_steps_are_administrative_or_match_a_source_step():
+    # Pair each reachable pseudo term q with the source term a whose image
+    # is adm(q).  A step of q stays in that class (an administrative step)
+    # or lands in the class of the image of a source successor of a.
+    for i in range(0, 300, 10):
+        e = gen_typed_source(i, 5 + i % 26)
+        memo = {}
+
+        def step(pair):
+            a, q = pair
+            images = {canon_key(pseudo_compile(a2)): a2 for a2 in _succ(a)}
+            out = []
+            for q2 in _succ(q):
+                k = canon_key(adm(q2, memo))
+                if k == canon_key(pseudo_compile(a)):
+                    out.append((a, q2))
+                else:
+                    assert k in images, (i, a, q, q2)
+                    out.append((images[k], q2))
+            return out
+
+        explore((e, pseudo_compile(e)), step, limit=2000,
+                key=lambda pair: (canon_key(pair[0]), canon_key(pair[1])))

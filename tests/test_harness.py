@@ -21,6 +21,7 @@ from cochoice.syntax import (
     TNum, TChoice, TNameAbs, TNameApp, TVar, TLam, TNAT,
     alpha_eq, free_vars, name_subst, size_of,
 )
+from oracle import reference_weak_bisim
 
 
 def src(text):
@@ -70,6 +71,27 @@ def test_weak_bisim_precondition():
         check_weak_bisim_pseudo(Var("x"))
 
 
+def test_weak_bisim_agrees_with_reference():
+    # every acceptance program but 250, which alone takes seconds in the
+    # reference: where the bounded matching runs certify the bisimulation,
+    # the check modulo administrative steps certifies it too
+    for i in range(300):
+        if i == 250:
+            continue
+        e = gen_typed_source(i, 5 + i % 26)
+        rep = check_weak_bisim_pseudo(e)
+        assert rep.status != COUNTEREXAMPLE, (i, rep.witness)
+        if reference_weak_bisim(e).status == OK:
+            assert rep.status == OK, i
+
+
+def test_weak_bisim_fuel_bounds_each_closure():
+    # the distributed application steps once more inside its adm class, so
+    # a one-state closure search leaves that member unexpanded
+    rep = check_weak_bisim_pseudo(src("(\\x:nat. x) (1 || 2)"), fuel=1)
+    assert (rep.status, rep.cause) == (FUEL_EXHAUSTED, "states")
+
+
 def test_weak_bisim_divergent_cyclic_space_closes():
     # the divergent demo loops through finitely many states, so the pair
     # exploration closes and certifies the bisimulation
@@ -117,11 +139,15 @@ def test_non_coordination_negative_control():
 #
 # Each case plants a fault into the harness namespace and checks that the
 # check it targets reports it on a program the check passes unmutated.  The
-# memos are swapped for empty ones: memos warmed by the unmutated run would
-# answer with the correct successors and hide the fault.
+# successor memo is swapped for an empty one: a memo warmed by the unmutated
+# run would answer with the correct successors and hide the fault.
 
 def _drop_last_successor(real):
     return lambda t, world: real(t, world)[:-1]
+
+
+def _add_self_loop(real):
+    return lambda t, world: real(t, world) + [t]
 
 
 def _step_to_untyped(real):
@@ -146,11 +172,21 @@ def _swap_choice(real):
     return mutant
 
 
+def _drop_dummy(real):
+    def mutant(e):
+        p = real(e)
+        return p.fn if isinstance(e, App) else p
+    return mutant
+
+
 DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
 
 
 @pytest.mark.parametrize("fault, mutate, check, text, status, cause", [
     ("tgt_step_all", _drop_last_successor,
+     lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
+     DEMO, COUNTEREXAMPLE, None),
+    ("tgt_step_all", _add_self_loop,
      lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
     ("tgt_step_all", _step_to_untyped,
@@ -160,20 +196,18 @@ DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
      lambda e: check_non_coordination(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
     ("tgt_eval", _drop_normal_form, end_to_end, DEMO, COUNTEREXAMPLE, None),
-    # the image of the choice successor is unreachable, but the 4-step
-    # matching run from the pseudo side does not close, so the weak check
-    # cannot certify a counterexample
     ("pseudo_compile", _swap_choice, check_weak_bisim_pseudo,
-     "(\\x:nat. x) (1 || 2)", FUEL_EXHAUSTED, "run"),
-], ids=["strong_bisim", "subject_reduction", "non_coordination",
-        "end_to_end", "weak_bisim"])
+     "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
+    ("pseudo_compile", _drop_dummy, check_weak_bisim_pseudo,
+     "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
+], ids=["strong_bisim", "strong_bisim_extra_step", "subject_reduction",
+        "non_coordination", "end_to_end", "weak_bisim", "weak_bisim_dummy"])
 def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                           cause):
     e = src(text)
     assert check(e).status == OK
     monkeypatch.setattr(harness, fault, mutate(getattr(harness, fault)))
     monkeypatch.setattr(harness, "_SUCC", {})
-    monkeypatch.setattr(harness, "_REACH", {})
     rep = check(e)
     assert (rep.status, rep.cause) == (status, cause)
     if mutate is _step_to_untyped:
