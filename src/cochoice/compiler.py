@@ -24,6 +24,8 @@ from .target import TargetEnv
 ID_NAT = Lam("x", NAT, Var("x"))          # the dummy argument
 DUMMY_TY = Arrow(NAT, NAT)                # its type
 
+_CACHE_SIZE = 1 << 12  # entries of each lru_cache below
+
 
 class BuiltinNotCompilable(Exception):
     pass
@@ -99,7 +101,7 @@ def compile_env(gamma: dict) -> TargetEnv:
 # ---------------------------------------------------------------------------
 # name erasure
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def erase(m: TgtExpr) -> SrcExpr:
     if isinstance(m, TVar):
         return Var(m.name)
@@ -123,7 +125,7 @@ def erase(m: TgtExpr) -> SrcExpr:
     raise TypeError(f"not a target expression: {m!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def erase_type(t: TgtType) -> SrcType:
     if isinstance(t, TNat):
         return NAT
@@ -137,7 +139,7 @@ def erase_type(t: TgtType) -> SrcType:
 # ---------------------------------------------------------------------------
 # pseudo compilation
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def pseudo_compile(e: SrcExpr) -> SrcExpr:
     if isinstance(e, Var):
         return e
@@ -188,7 +190,7 @@ def _adm(p, memo):  # returns p itself when it has no such redex
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def pseudo_type(t: SrcType) -> SrcType:
     if isinstance(t, Nat):
         return NAT

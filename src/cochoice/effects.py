@@ -5,8 +5,10 @@ The language of an effect is a set of names (words of atoms).  Emptiness
 follow from the structure of the expression, in one pass, because effects
 have no intersection or complement.  Inclusion and overlap are decided with
 Brzozowski derivatives kept in a similarity-canonical form, which guarantees
-termination of the pairwise fixpoint procedures; ``includes`` keeps its
-answers in a bounded cache keyed on the operands' interned ids.
+termination of the pairwise fixpoint procedures; ``includes`` and
+``overlap_witness`` keep their answers in bounded caches keyed on the
+operands' interned ids.  Every cache here is an LRU table of
+``_CACHE_SIZE`` entries.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from functools import lru_cache
 
 from .names import EPS, format_name, is_name_var, normalize_name, word_subst
 from .node import Interned
+
+_CACHE_SIZE = 1 << 12  # entries of each lru_cache below
 
 
 class Effect(Interned):
@@ -117,7 +121,7 @@ def star(e: Effect) -> Effect:
     return Star(e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def nullable(e: Effect) -> bool:
     if isinstance(e, Empty):
         return False
@@ -130,7 +134,7 @@ def nullable(e: Effect) -> bool:
     return True  # Star
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def deriv(e: Effect, a: str) -> Effect:
     """Brzozowski derivative: L(result) = { w | a.w in L(e) }."""
     if isinstance(e, Empty):
@@ -149,7 +153,7 @@ def deriv(e: Effect, a: str) -> Effect:
     return cat(deriv(e.inner, a), e)  # Star
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def alphabet(e: Effect) -> frozenset:
     if isinstance(e, Lit):
         return frozenset(e.word)
@@ -200,6 +204,7 @@ def is_empty_lang(e: Effect) -> bool:
     return False  # Lit, Star
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def first_atoms(e: Effect) -> frozenset:
     """The atoms that begin some word of L(e): those whose derivative is not empty."""
     if isinstance(e, Lit):
@@ -238,7 +243,7 @@ def inclusion_witness(e1: Effect, e2: Effect):
     return None
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_CACHE_SIZE)
 def includes(e1: Effect, e2: Effect) -> bool:
     """True iff L(e1) is a subset of L(e2)."""
     if e1 == e2 or is_empty_lang(e1):
@@ -246,6 +251,7 @@ def includes(e1: Effect, e2: Effect) -> bool:
     return inclusion_witness(e1, e2) is None
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def overlap_witness(e1: Effect, e2: Effect):
     """A shortest word of L(e1) & L(e2), or None when the languages are disjoint."""
     sigma = sorted(alphabet(e1) & alphabet(e2))

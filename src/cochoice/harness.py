@@ -15,8 +15,10 @@ and a FuelExhausted report names its ``cause``:
   ``fuel`` states (subject reduction and non-coordination have none);
 - ``cycle``: an ``end_to_end`` evaluation has an infinite reduction path.
 
-Successors are memoized by ``canon_key`` for the life of the process;
-source and target keys differ, so one memo serves both.
+Successors are memoized by ``canon_key`` in ``_SUCC``, an LRU table of at
+most ``_CACHE_SIZE`` terms, so it holds the working set of the programs
+checked last and not every state of the process; source and target keys
+differ, so one memo serves both.
 """
 
 from __future__ import annotations
@@ -68,17 +70,23 @@ def _verdict(search) -> CheckReport:
     return CheckReport(status, None, search.expanded, search.cause)
 
 
-_SUCC: dict = {}
+_CACHE_SIZE = 1 << 12  # entries of _SUCC
+_SUCC: dict = {}  # canon_key -> successors, least recently used first
 
 
 def _succ(t) -> list:
     """One-step successors of a source term, or of a target term under the
-    empty world, memoized by key."""
+    empty world, memoized by key in an LRU of ``_CACHE_SIZE`` entries: a
+    hit moves to the end of ``_SUCC``, and a miss past the bound evicts the
+    first entry."""
     k = canon_key(t)
-    hit = _SUCC.get(k)
+    hit = _SUCC.pop(k, None)
     if hit is None:
-        hit = _SUCC[k] = (tgt_step_all(t, frozenset()) if isinstance(t, TgtExpr)
-                          else [s for _, s in src_step_all(t)])
+        hit = (tgt_step_all(t, frozenset()) if isinstance(t, TgtExpr)
+               else [s for _, s in src_step_all(t)])
+        if len(_SUCC) >= _CACHE_SIZE:
+            del _SUCC[next(iter(_SUCC))]
+    _SUCC[k] = hit
     return hit
 
 

@@ -9,13 +9,20 @@ holds the node's alpha-normal key, filled in by ``syntax.canon_key``.
 Types and terms hash their class and fields, using the children's cached
 hashes, and compare field by field, accepting shared children on identity.
 
-Effects are ``Interned``: their hash is an id from one table keyed by class
-and fields, with each child effect replaced by its id, so two effects are
-equal exactly when their ids are. The effect decision procedures compare
-many equal effects built apart, for which a field-by-field comparison would
-walk both trees. Terms are not interned because the table would hold one
-entry for every distinct subterm ever hashed: on the benchmark's
-``translate`` workload that cost 38 MB more peak memory.
+Effects are ``Interned``: their hash is an id from one table, ``_IDS``,
+keyed by a shape: the class name and the fields, with each child effect
+replaced by its id, so two effects are equal exactly when their ids are.
+The effect decision procedures compare many equal effects built apart, for
+which a field-by-field comparison would walk both trees. Effect class names
+are unique. A shape holds only strings, ints and tuples of them, not the
+class object, so the garbage collector untracks it within two collections
+instead of walking every shape in every full collection. The table is not
+bounded: an effect keeps its id in ``_hash``, so a dropped shape would give
+an equal effect built later a second id, and the two would compare unequal.
+
+Terms are not interned because the table would hold one entry for every
+distinct subterm ever hashed: on the benchmark's ``translate`` workload
+that cost 38 MB more peak memory.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ class Node:
         return True
 
 
-_IDS: dict = {}  # (class, *fields with child effects as ids) -> id
+_IDS: dict = {}  # (class name, *fields with child effects as ids) -> id
 
 
 def _field(v):
@@ -65,7 +72,8 @@ class Interned(Node):
             return self._hash
         except AttributeError:
             pass
-        shape = (type(self), *[_field(getattr(self, f)) for f in self.__match_args__])
+        shape = (type(self).__name__,
+                 *[_field(getattr(self, f)) for f in self.__match_args__])
         h = _IDS.get(shape)
         if h is None:
             h = _IDS[shape] = len(_IDS)

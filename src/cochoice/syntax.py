@@ -24,6 +24,8 @@ from . import effects as eff
 from .names import is_name_var, name_vars, normalize_name, word_subst
 from .node import Node
 
+_CACHE_SIZE = 1 << 12  # entries of each lru_cache below
+
 
 # ---------------------------------------------------------------------------
 # types
@@ -214,7 +216,7 @@ def size_of(e) -> int:
 # ---------------------------------------------------------------------------
 # free variables
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def free_vars(e) -> frozenset:
     if isinstance(e, (Var, TVar)):
         return frozenset({e.name})
@@ -233,7 +235,7 @@ def free_vars(e) -> frozenset:
     raise TypeError(f"not an expression: {e!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def free_name_vars(x) -> frozenset:
     """Free name variables of a name, effect, target type, or target expression."""
     if isinstance(x, tuple):
@@ -530,7 +532,7 @@ def _atom_key(a) -> int:
     return _intern(("nf", a) if is_name_var(a) else ("atom", a))
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _name_key(word) -> int:
     return _intern(("name", *map(_atom_key, normalize_name(word))))
 

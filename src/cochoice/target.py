@@ -27,6 +27,8 @@ from .syntax import (
     free_name_vars, is_tgt_value, name_subst, subst_term,
 )
 
+_CACHE_SIZE = 1 << 12  # entries of each lru_cache below
+
 
 class TgtTypeError(SrcTypeError):
     pass
@@ -212,7 +214,7 @@ def mk_pnf(prefix, suffix: eff.Effect) -> EffectPNF:
     return EffectPNF(False, normalize_name(prefix), suffix)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_CACHE_SIZE)
 def effect_pnf(e: eff.Effect) -> EffectPNF:
     """Extract the maximal forced prefix of ``e``; the residual must be closed.
 
@@ -279,7 +281,7 @@ def _require_disjoint(s1: eff.Effect, s2: eff.Effect):
 # ---------------------------------------------------------------------------
 # effect typing
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=_CACHE_SIZE)
 def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
     """Infer ``(type, EffectPNF)`` for ``m`` or raise a typing error.
 

@@ -24,24 +24,30 @@ def lang_upto(e, n):
     if isinstance(e, eff.Lit):
         return {e.word} if len(e.word) <= n else set()
     if isinstance(e, eff.Cat):
-        left = lang_upto(e.left, n)
-        right = lang_upto(e.right, n)
-        return {u + v for u in left for v in right if len(u) + len(v) <= n}
+        return _concat(lang_upto(e.left, n), lang_upto(e.right, n), n)
     if isinstance(e, eff.Alt):
         out = set()
         for p in e.parts:
             out |= lang_upto(p, n)
         return out
     if isinstance(e, eff.Star):
-        base = lang_upto(e.inner, n)
-        acc = {()}
-        while True:
-            new = {u + v for u in acc for v in base
-                   if v and len(u) + len(v) <= n} - acc
-            if not new:
-                return acc
-            acc |= new
+        base = lang_upto(e.inner, n) - {()}
+        acc = frontier = {()}
+        while frontier:  # each word is extended once, when it is new
+            frontier = _concat(frontier, base, n) - acc
+            acc |= frontier
+        return acc
     raise TypeError(e)
+
+
+def _concat(left, right, n):
+    """Every ``u + v`` of length <= n with u in ``left`` and v in ``right``,
+    pairing each u only with the words of ``right`` short enough for it."""
+    by_len = {}
+    for v in right:
+        by_len.setdefault(len(v), []).append(v)
+    return {u + v for u in left for k in range(n - len(u) + 1)
+            for v in by_len.get(k, ())}
 
 
 def match_word(w, e, _memo=None):

@@ -1,12 +1,13 @@
 """Effect languages: smart constructors, derivatives, and the decision
 procedures, cross-checked against brute-force enumeration."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cochoice import effects as eff
+from cochoice import effects as eff, node
 from cochoice.effects import (
     EMPTY, EPS_EFF, Alt, Cat, Lit, Star, alt, cat, star, lit,
     nullable, deriv, member, includes, disjoint, lang_eq,
@@ -100,9 +101,21 @@ def test_is_empty_lang():
 
 
 def test_effect_caches_are_bounded():
-    assert includes.cache_info().maxsize is not None
-    assert effect_pnf.cache_info().maxsize is not None
+    for cached in (includes, overlap_witness, first_atoms, nullable, deriv,
+                   eff.alphabet, effect_pnf):
+        assert cached.cache_info().maxsize is not None
     assert not hasattr(is_empty_lang, "cache_info")
+
+
+def test_effect_shapes_are_not_tracked_by_the_gc():
+    """The id table's shapes hold no class object, so collections untrack
+    them (a word tuple in one pass, the shape holding it in the next) and
+    later full collections skip them."""
+    e = alt(cat(O, star(B)), Lit(("a", "o")), star(alt(O, EPS_EFF)))
+    assert e == alt(star(alt(O, EPS_EFF)), Lit(("a", "o")), cat(O, star(B)))
+    gc.collect()
+    gc.collect()
+    assert not any(gc.is_tracked(shape) for shape in node._IDS)
 
 
 def assert_agrees_with_derivative_search(e):

@@ -2,10 +2,13 @@
 program generator, and end-to-end runs."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cochoice
 from cochoice import harness
 from cochoice.compiler import compile_expr, pseudo_compile
 from cochoice.harness import (
@@ -19,7 +22,7 @@ from cochoice.source import src_typecheck
 from cochoice.syntax import (
     NAT, Num, Var, Lam, App, Choice,
     TNum, TChoice, TNameAbs, TNameApp, TVar, TLam, TNAT,
-    alpha_eq, free_vars, name_subst, size_of,
+    alpha_eq, canon_key, free_vars, name_subst, size_of,
 )
 from oracle import reference_weak_bisim
 
@@ -252,3 +255,63 @@ def test_end_to_end_divergent():
 def test_end_to_end_never_counterexamples(seed, size):
     rep = end_to_end(gen_typed_source(seed, size))
     assert rep.status != COUNTEREXAMPLE
+
+
+# ---------------------------------------------------------------- memory
+
+# The intern tables map structure to ids that stay in the nodes (``_key``,
+# ``_hash``) and are never reissued: dropping an entry would give an equal
+# node built later a second id. They are the only tables allowed to grow.
+INTERN_TABLES = {"syntax._IDS", "syntax._NODES", "syntax._FREE", "node._IDS"}
+
+
+def _modules():
+    return {info.name: importlib.import_module(f"cochoice.{info.name}")
+            for info in pkgutil.iter_modules(cochoice.__path__)}
+
+
+def _tables():
+    return {f"{name}.{attr}": value
+            for name, mod in _modules().items()
+            for attr, value in vars(mod).items()
+            if type(value) in (dict, list, set)}
+
+
+def test_every_cache_is_bounded(monkeypatch):
+    lru = {f"{name}.{attr}": value.cache_parameters()["maxsize"]
+           for name, mod in _modules().items()
+           for attr, value in vars(mod).items()
+           if hasattr(value, "cache_parameters")  # a functools LRU wrapper
+           and value.__module__ == mod.__name__}
+    assert "effects.deriv" in lru and "compiler.erase" in lru
+    assert [name for name, size in lru.items() if size is None] == []
+
+    # _SUCC is an LRU table: run checks over more distinct states than its
+    # bound, with the bound made small, and it never holds more.
+    bound, default = 32, harness._CACHE_SIZE
+    monkeypatch.setattr(harness, "_CACHE_SIZE", bound)
+    monkeypatch.setattr(harness, "_SUCC", {})
+    sizes = {name: len(t) for name, t in _tables().items()}
+    seen, real = set(), harness._succ
+
+    def succ(t):
+        seen.add(canon_key(t))
+        out = real(t)
+        assert len(harness._SUCC) <= bound
+        assert next(reversed(harness._SUCC)) == canon_key(t)  # last used
+        return out
+
+    monkeypatch.setattr(harness, "_succ", succ)
+    programs = [gen_typed_source(i, 5 + i % 26) for i in range(40, 60)]
+    bounded = [end_to_end(e) for e in programs]
+    assert len(seen) > 4 * bound
+    assert len(harness._SUCC) == bound
+
+    grown = {name for name, t in _tables().items() if len(t) > sizes[name]}
+    assert grown <= INTERN_TABLES | {"harness._SUCC"}
+
+    # the bound changes no verdict
+    monkeypatch.setattr(harness, "_succ", real)
+    monkeypatch.setattr(harness, "_CACHE_SIZE", default)
+    monkeypatch.setattr(harness, "_SUCC", {})
+    assert [end_to_end(e) for e in programs] == bounded
