@@ -221,26 +221,32 @@ def first_atoms(e: Effect) -> frozenset:
     return frozenset()
 
 
-def inclusion_witness(e1: Effect, e2: Effect):
-    """A shortest word of L(e1) \\ L(e2), or None when L(e1) is included in L(e2)."""
-    sigma = sorted(alphabet(e1) | alphabet(e2))
-    start = (e1, e2)
-    seen = {start}
+def _product_witness(e1: Effect, e2: Effect, sigma, both: bool):
+    """A shortest word over ``sigma`` of L(e1) that is in L(e2) when
+    ``both``, else not in it: breadth-first search over pairs of
+    derivatives, never following a pair whose left side (or, when ``both``,
+    either side) is empty."""
+    seen = {(e1, e2)}
     queue = deque([(e1, e2, ())])
     while queue:
         d1, d2, w = queue.popleft()
-        if nullable(d1) and not nullable(d2):
+        if nullable(d1) and nullable(d2) == both:
             return w
         for a in sigma:
             n1 = deriv(d1, a)
             if n1 == EMPTY:
                 continue  # no word of L(e1) continues this way
             n2 = deriv(d2, a)
-            key = (n1, n2)
-            if key not in seen:
-                seen.add(key)
-                queue.append((n1, n2, w + (a,)))
+            if (both and n2 == EMPTY) or (n1, n2) in seen:
+                continue
+            seen.add((n1, n2))
+            queue.append((n1, n2, w + (a,)))
     return None
+
+
+def inclusion_witness(e1: Effect, e2: Effect):
+    """A shortest word of L(e1) \\ L(e2), or None when L(e1) is included in L(e2)."""
+    return _product_witness(e1, e2, sorted(alphabet(e1) | alphabet(e2)), False)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -254,23 +260,7 @@ def includes(e1: Effect, e2: Effect) -> bool:
 @lru_cache(maxsize=_CACHE_SIZE)
 def overlap_witness(e1: Effect, e2: Effect):
     """A shortest word of L(e1) & L(e2), or None when the languages are disjoint."""
-    sigma = sorted(alphabet(e1) & alphabet(e2))
-    seen = {(e1, e2)}
-    queue = deque([(e1, e2, ())])
-    while queue:
-        d1, d2, w = queue.popleft()
-        if nullable(d1) and nullable(d2):
-            return w
-        for a in sigma:
-            n1 = deriv(d1, a)
-            n2 = deriv(d2, a)
-            if n1 == EMPTY or n2 == EMPTY:
-                continue
-            key = (n1, n2)
-            if key not in seen:
-                seen.add(key)
-                queue.append((n1, n2, w + (a,)))
-    return None
+    return _product_witness(e1, e2, sorted(alphabet(e1) & alphabet(e2)), True)
 
 
 def disjoint(e1: Effect, e2: Effect) -> bool:

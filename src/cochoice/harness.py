@@ -290,7 +290,7 @@ def gen_typed_source(seed: int, size: int = 20) -> SrcExpr:
 # ---------------------------------------------------------------------------
 # end to end
 
-def end_to_end(e: SrcExpr, fuel: int = 200, alpha: str = "a") -> CheckReport:
+def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     """Compile at the empty seed, run both sides to normal forms, and check
     that pseudo-compiled source normal forms and erased target normal forms
     are the same set; also runs both bisimulation checks."""
@@ -298,7 +298,7 @@ def end_to_end(e: SrcExpr, fuel: int = 200, alpha: str = "a") -> CheckReport:
         src_typecheck(e)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"source term is untyped: {exc}") from exc
-    m = name_subst(compile_expr(e, alpha, ()), alpha, ())
+    m = name_subst(compile_expr(e, "a", ()), "a", ())
 
     src_res = src_eval(e, fuel=fuel)
     tgt_res = tgt_eval(m, frozenset(), fuel=fuel)

@@ -11,9 +11,6 @@ ON = "o"
 OFF = "b"
 EPS: tuple = ()
 
-#: identifier spellings that can never be used as variables
-RESERVED = frozenset({"o", "b", "eps"})
-
 
 def is_name_var(atom: str) -> bool:
     return atom not in (ON, OFF)

@@ -11,7 +11,8 @@ name variables, name normalization, associativity of effect concatenation
 and the order of effect alternatives; ``alpha_eq`` compares keys.  The keys
 come from one intern table: a node's key is computed once from its
 children's keys and stored in the node, and bound variables become de
-Bruijn indices.
+Bruijn indices.  The table also holds each key's free term and name
+variables, which ``free_vars`` and ``free_name_vars`` return.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import effects as eff
 from .names import is_name_var, name_vars, normalize_name, word_subst
 from .node import Node
 
-_CACHE_SIZE = 1 << 12  # entries of each lru_cache below
+_CACHE_SIZE = 1 << 12  # entries of the lru_cache on _name_key
 
 
 # ---------------------------------------------------------------------------
@@ -213,58 +214,6 @@ def size_of(e) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-# ---------------------------------------------------------------------------
-# free variables
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def free_vars(e) -> frozenset:
-    if isinstance(e, (Var, TVar)):
-        return frozenset({e.name})
-    if isinstance(e, (Num, Add, TNum, TAdd)):
-        return frozenset()
-    if isinstance(e, (App, TApp)):
-        return free_vars(e.fn) | free_vars(e.arg)
-    if isinstance(e, (Lam, Fix, TLam, TFix)):
-        return free_vars(e.body) - {e.var}
-    if isinstance(e, TNameAbs):
-        return free_vars(e.body)
-    if isinstance(e, (Choice, TChoice)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, TNameApp):
-        return free_vars(e.fn)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def free_name_vars(x) -> frozenset:
-    """Free name variables of a name, effect, target type, or target expression."""
-    if isinstance(x, tuple):
-        return name_vars(x)
-    if isinstance(x, eff.Effect):
-        return eff.effect_vars(x)
-    if isinstance(x, TNat):
-        return frozenset()
-    if isinstance(x, TArrow):
-        return free_name_vars(x.arg) | free_name_vars(x.latent) | free_name_vars(x.res)
-    if isinstance(x, TForall):
-        return (free_name_vars(x.latent) | free_name_vars(x.body)) - {x.var}
-    if isinstance(x, (TVar, TNum, TAdd)):
-        return frozenset()
-    if isinstance(x, TApp):
-        return free_name_vars(x.fn) | free_name_vars(x.arg)
-    if isinstance(x, TLam):
-        return free_name_vars(x.ann) | free_name_vars(x.body)
-    if isinstance(x, TFix):
-        return free_name_vars(x.ann) | free_name_vars(x.body)
-    if isinstance(x, TNameApp):
-        return free_name_vars(x.fn) | name_vars(x.name)
-    if isinstance(x, TNameAbs):
-        return free_name_vars(x.body) - {x.var}
-    if isinstance(x, TChoice):
-        return free_name_vars(x.left) | name_vars(x.name) | free_name_vars(x.right)
-    raise TypeError(f"no name variables in: {x!r}")
-
-
 def fresh(base: str, avoid) -> str:
     if base not in avoid:
         return base
@@ -409,7 +358,7 @@ def _nsubst_expr(m, alpha, phi):
 
 
 # ---------------------------------------------------------------------------
-# alpha equivalence via interned keys
+# interned keys: alpha equivalence and free variables
 #
 # Every entity gets an int key from one intern table. A node's key is built
 # from its class and its children's keys and kept in its ``_key`` slot, so a
@@ -419,10 +368,13 @@ def _nsubst_expr(m, alpha, phi):
 # keep their names. Effect concatenations and literals are flattened into one
 # item list, and alternation parts are sorted by key. Keys are never reissued
 # within a process, so a key stored anywhere never names another term.
+# ``_intern`` records each key's free term and name variables once: the union
+# of its children's, in which bound variables are already indices.
 
 _IDS: dict = {}       # canonical node -> key
 _NODES: list = []     # key -> canonical node: (tag, *child keys) or a leaf
-_FREE: list = []      # key -> free term and name variables, sets shared
+_TERMS: list = []     # key -> free term variables, sets shared
+_NAMES: list = []     # key -> free name variables, sets shared
 _CALLS = [0, 0]       # canon_key calls answered from the slot, keys built
 _NO_VARS: frozenset = frozenset()
 
@@ -440,38 +392,45 @@ def _intern(node: tuple) -> int:
         k = _IDS[node] = len(_NODES)
         _NODES.append(node)
         tag = node[0]
-        if tag in _TERM_VARS or tag == "nf":
-            free = frozenset(node[1:])
-        elif tag in _LEAVES:
-            free = _NO_VARS
-        else:
-            free = _NO_VARS
-            for c in node[1:]:
-                f = _FREE[c]
-                if not f <= free:
-                    free = f if free <= f else free | f
-        _FREE.append(free)
+        terms = names = _NO_VARS
+        if tag in _TERM_VARS:
+            terms = frozenset(node[1:])
+        elif tag == "nf":
+            names = frozenset(node[1:])
+        elif tag not in _LEAVES:
+            terms = _union(_TERMS, node[1:])
+            names = _union(_NAMES, node[1:])
+        _TERMS.append(terms)
+        _NAMES.append(names)
     return k
+
+
+def _union(table: list, keys) -> frozenset:
+    # a child's set that holds the others' is reused, so most keys share one
+    free = _NO_VARS
+    for c in keys:
+        f = table[c]
+        if not f <= free:
+            free = f if free <= f else free | f
+    return free
 
 
 def _bind(k: int, x: str, names: bool) -> int:
     """Key ``k`` with the free term variable ``x`` (a name variable when
     ``names``) bound by a binder just above it."""
-    return _close(k, x, 0, names, {}) if x in _FREE[k] else k
+    return _close(k, x, 0, names, {})
 
 
 def _close(k, x, d, names, memo):
-    if x not in _FREE[k]:
+    if x not in (_NAMES if names else _TERMS)[k]:
         return k
     out = memo.get((k, d))
     if out is not None:
         return out
     node = _NODES[k]
     tag = node[0]
-    if tag in _TERM_VARS:
-        out = k if names else _intern(("bv", d))
-    elif tag == "nf":
-        out = _intern(("nb", d)) if names else k
+    if tag in _LEAVES:  # a Var or TVar leaf, or an nf leaf when names
+        out = _intern(("nb" if names else "bv", d))
     else:
         if names:
             inner = d + 1 if tag in _NAME_BINDERS else d
@@ -526,6 +485,16 @@ canon_key.cache_info = lambda: KeyInfo(_CALLS[0], _CALLS[1], len(_NODES))
 
 def alpha_eq(a, b) -> bool:
     return canon_key(a) == canon_key(b)
+
+
+def free_vars(e) -> frozenset:
+    """Free term variables of a term, read from the key table."""
+    return _TERMS[_key(e)]
+
+
+def free_name_vars(x) -> frozenset:
+    """Free name variables of a name, effect, target type, or target expression."""
+    return name_vars(x) if isinstance(x, tuple) else _NAMES[_key(x)]
 
 
 def _atom_key(a) -> int:

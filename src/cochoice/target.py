@@ -90,30 +90,9 @@ class TargetEnv:
     def bound_names(self) -> frozenset:
         return frozenset(e[1] for e in self.entries if e[0] == "name")
 
-    def term_vars(self) -> frozenset:
-        return frozenset(e[1] for e in self.entries if e[0] == "term")
-
 
 def wf_check(env: TargetEnv, entity) -> bool:
-    """Well-formedness of a name, effect, target type, or environment."""
-    if isinstance(entity, TargetEnv):
-        seen_names: set = set()
-        seen_terms: set = set()
-        so_far = TargetEnv()
-        for entry in entity.entries:
-            if entry[0] == "name":
-                if entry[1] in seen_names:
-                    return False
-                seen_names.add(entry[1])
-                so_far = so_far.push_name(entry[1])
-            else:
-                if entry[1] in seen_terms:
-                    return False
-                seen_terms.add(entry[1])
-                if not wf_check(so_far, entry[2]):
-                    return False
-                so_far = so_far.push_term(entry[1], entry[2])
-        return True
+    """Well-formedness of a name, effect or target type in ``env``."""
     if isinstance(entity, tuple):
         bound = env.bound_names()
         return all(v in bound for v in name_vars(entity))

@@ -1,5 +1,7 @@
 """Command-line interface and concrete syntax round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,8 @@ from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
 from cochoice.parser import ParseError, parse
 from cochoice.printer import format_expr, format_type, format_effect
-from cochoice.syntax import alpha_eq, name_subst
+from cochoice.syntax import TNAT, TArrow, TForall, alpha_eq, name_subst
+from oracle import random_effect
 
 
 def run(capsys, *argv):
@@ -56,6 +59,32 @@ def test_src_step(tmp_path, capsys):
     f = term_file(tmp_path, "(\\x:nat. x) 1")
     code, out, _ = run(capsys, "src-step", f)
     assert code == 0 and out.strip() == "SR-Beta: 1"
+
+
+ID_APP = "(\\x:nat. x) (1 ||{o} 2)"
+ID_DIST = "TR-DistAppR: ((\\x:nat. x) 1 ||{o} (\\x:nat. x) 2)"
+
+
+def test_tgt_step(tmp_path, capsys):
+    f = term_file(tmp_path, ID_APP)
+    code, out, _ = run(capsys, "tgt-step", f)
+    assert code == 0 and out.splitlines() == [ID_DIST]
+    code, out, _ = run(capsys, "tgt-step", f, "--delta", "o-")
+    assert code == 0
+    assert out.splitlines() == [ID_DIST, "TR-AppR: (\\x:nat. x) 2"]
+
+
+def test_eval_trace_prints_successors_then_normal_forms(tmp_path, capsys):
+    # each one-step successor of the input with its root rule, not a path
+    f = term_file(tmp_path, "(\\x:nat. x) (1 || 2)")
+    code, out, _ = run(capsys, "src-eval", f, "--trace")
+    assert code == 0
+    assert out.splitlines() == [
+        "SR-DistAppR: ((\\x:nat. x) 1 || (\\x:nat. x) 2)", "(1 || 2)"]
+    g = term_file(tmp_path, ID_APP, "tgt.txt")
+    code, out, _ = run(capsys, "tgt-eval", g, "--trace", "--delta", "o+")
+    assert code == 0
+    assert out.splitlines() == [ID_DIST, "TR-AppR: (\\x:nat. x) 1", "1"]
 
 
 def test_tgt_check(tmp_path, capsys):
@@ -122,6 +151,8 @@ def test_bisim_and_end2end(tmp_path, capsys):
     code, out, _ = run(capsys, "compile", f)
     m = term_file(tmp_path, out.strip().replace("a ", "").replace("{a", "{"),
                   "target.txt")
+    code, out, _ = run(capsys, "bisim", f, m)
+    assert code == 0 and out.startswith("status=OK explored=")
     code, out, _ = run(capsys, "end2end", f)
     assert code == 0 and "status=OK" in out
 
@@ -186,11 +217,16 @@ terms = st.builds(
 
 
 @settings(max_examples=100, deadline=None)
-@given(terms)
-def test_format_parse_round_trip_both_calculi(e):
+@given(terms, st.integers(0, 10**6))
+def test_format_parse_round_trip_both_calculi(e, seed):
     assert alpha_eq(parse("src", format_expr(e)), e)
     m = compile_expr(e, "a", ("o",))
     assert alpha_eq(parse("tgt", format_expr(m)), m)
+    # latent effects of every shape, {} and eps included, on both binders
+    rng = random.Random(seed)
+    phi = [random_effect(rng, rng.randrange(1, 10)) for _ in range(3)]
+    t = TArrow(TArrow(TNAT, phi[0], TNAT), phi[1], TForall("al", phi[2], TNAT))
+    assert alpha_eq(parse("type-tgt", format_type(t)), t)
 
 
 def test_parse_error_reports_position():

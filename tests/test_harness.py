@@ -199,12 +199,15 @@ DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
      lambda e: check_non_coordination(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
     ("tgt_eval", _drop_normal_form, end_to_end, DEMO, COUNTEREXAMPLE, None),
+    ("tgt_step_all", _drop_last_successor, end_to_end, DEMO, COUNTEREXAMPLE,
+     None),
     ("pseudo_compile", _swap_choice, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
     ("pseudo_compile", _drop_dummy, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
 ], ids=["strong_bisim", "strong_bisim_extra_step", "subject_reduction",
-        "non_coordination", "end_to_end", "weak_bisim", "weak_bisim_dummy"])
+        "non_coordination", "end_to_end", "end_to_end_strong", "weak_bisim",
+        "weak_bisim_dummy"])
 def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                           cause):
     e = src(text)
@@ -215,6 +218,8 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
     assert (rep.status, rep.cause) == (status, cause)
     if mutate is _step_to_untyped:
         assert rep.witness[1].startswith("untyped")
+    if check is end_to_end and mutate is _drop_last_successor:
+        assert rep.witness[0] == "strong"
 
 
 # ------------------------------------------------------------- generator
@@ -262,7 +267,8 @@ def test_end_to_end_never_counterexamples(seed, size):
 # The intern tables map structure to ids that stay in the nodes (``_key``,
 # ``_hash``) and are never reissued: dropping an entry would give an equal
 # node built later a second id. They are the only tables allowed to grow.
-INTERN_TABLES = {"syntax._IDS", "syntax._NODES", "syntax._FREE", "node._IDS"}
+INTERN_TABLES = {"syntax._IDS", "syntax._NODES", "syntax._TERMS",
+                 "syntax._NAMES", "node._IDS"}
 
 
 def _modules():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cochoice import effects as eff
@@ -18,6 +19,7 @@ from cochoice.harness import gen_typed_source
 from cochoice.compiler import compile_expr, erase, pseudo_compile
 from cochoice.names import normalize_name
 from cochoice.parser import parse
+from cochoice.printer import format_any
 from cochoice.source import src_step_all
 from cochoice.target import tgt_step_all
 from oracle import reference_key
@@ -83,6 +85,44 @@ def test_name_subst_avoids_name_capture():
     s = name_subst(m, "al", ("be",))
     assert isinstance(s, TNameAbs) and s.var != "be"
     assert free_name_vars(s) == {"be"}
+
+
+O_ARROW = TArrow(TNAT, Lit(("o",)), TNAT)
+
+
+@pytest.mark.parametrize("subst, entity, var, repl, printed, expected", [
+    # a target term binder that would capture the replacement's free y
+    (subst_term, TLam("y", TNAT, TApp(TVar("x"), TVar("y"))), "x", TVar("y"),
+     "\\y1:nat. y y1", TLam("z", TNAT, TApp(TVar("y"), TVar("z")))),
+    (subst_term, TFix("y", TNAT, TApp(TVar("x"), TVar("y"))), "x", TVar("y"),
+     "fix y1:nat. y y1", TFix("z", TNAT, TApp(TVar("y"), TVar("z")))),
+    # a name binder that would capture the replacement's free name al
+    (subst_term, TNameAbs("al", TNameApp(TVar("x"), ("al",))), "x",
+     TNameApp(TVar("f"), ("al",)), "/\\al1. (f @ al) @ al1",
+     TNameAbs("g", TNameApp(TNameApp(TVar("f"), ("al",)), ("g",)))),
+    # latents of arrows, and a Forall that would capture the name be
+    (name_subst,
+     TArrow(TNAT, Lit(("al",)), TArrow(TNAT, Lit(("al", "o")), TNAT)),
+     "al", ("o", "b"), "nat -{o b}-> nat -{o b o}-> nat",
+     TArrow(TNAT, Lit(("o", "b")), TArrow(TNAT, Lit(("o", "b", "o")), TNAT))),
+    (name_subst, TForall("be", Lit(("al", "be")),
+                         TArrow(TNAT, Lit(("be", "al")), TNAT)),
+     "al", ("be",), "all be1.{be be1} nat -{be1 be}-> nat",
+     TForall("g", Lit(("be", "g")), TArrow(TNAT, Lit(("g", "be")), TNAT))),
+    # the annotations of term binders
+    (name_subst, TLam("x", TArrow(TNAT, Lit(("al",)), TNAT), TVar("x")),
+     "al", ("o",), "\\x:nat -{o}-> nat. x", TLam("y", O_ARROW, TVar("y"))),
+    (name_subst, TFix("f", TArrow(TNAT, Lit(("al",)), TNAT),
+                      TLam("x", TNAT, TApp(TVar("f"), TVar("x")))),
+     "al", ("o",), "fix f:nat -{o}-> nat. \\x:nat. f x",
+     TFix("g", O_ARROW, TLam("y", TNAT, TApp(TVar("g"), TVar("y"))))),
+], ids=["tlam_capture", "tfix_capture", "name_abs_capture", "arrow_latents",
+        "forall_capture", "tlam_annotation", "tfix_annotation"])
+def test_target_substitution_cases(subst, entity, var, repl, printed,
+                                   expected):
+    out = subst(entity, var, repl)
+    assert format_any(out) == printed
+    assert alpha_eq(out, expected)
 
 
 def test_alpha_eq_examples():

@@ -65,6 +65,11 @@ def test_type_join_and_meet():
     assert type_meet(a, j) == a
     with pytest.raises(TypeMismatch):
         type_join(TNAT, a)
+    # the join of unrelated arrows meets their arguments, here the second
+    wide = TArrow(TNAT, alt(O, B), TNAT)
+    j = type_join(TArrow(wide, O, TNAT), TArrow(a, B, TNAT))
+    assert format_type(j) == "(nat -{o}-> nat) -{b + o}-> nat"
+    assert type_meet(wide, a) == a
 
 
 # ------------------------------------------------------------ prefix forms
@@ -117,6 +122,10 @@ def test_typing_name_abstraction():
     t, p = effect_typecheck(env, TNameAbs("be", TVar("x")))
     assert t == TForall("be", EMPTY, TNAT)
     assert p == BOTTOM
+    # a binder that reuses a bound name is renamed apart from every bound name
+    m = tgt("/\\a. /\\a1. /\\a. (1 ||{a a1} 2)")
+    t, _ = effect_typecheck(TargetEnv(), m)
+    assert format_type(t) == "all a.{{}} all a1.{{}} all a2.{a2 a1} nat"
 
 
 def test_typing_name_application_substitutes_latent():
