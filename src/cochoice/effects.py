@@ -6,9 +6,13 @@ follow from the structure of the expression, in one pass, because effects
 have no intersection or complement.  Inclusion and overlap are decided with
 Brzozowski derivatives kept in a similarity-canonical form, which guarantees
 termination of the pairwise fixpoint procedures; ``includes`` and
-``overlap_witness`` keep their answers in bounded caches keyed on the
-operands' interned ids.  Every cache here is an LRU table of
-``_CACHE_SIZE`` entries.
+``overlap_witness`` keep their answers in bounded caches.  Every cache here
+is an LRU table of ``_CACHE_SIZE`` entries.
+
+Effects are hash-consed (``node.Interned``): building an effect equal to
+one built before returns that object, so equal effects are one object, a
+cache hashes an effect by a slot read and compares it by identity, and the
+smart constructors below test for ``EMPTY`` and ``EPS_EFF`` with ``is``.
 """
 
 from __future__ import annotations
@@ -27,30 +31,30 @@ class Effect(Interned):
     __slots__ = ("_order",)  # repr(self) once computed: see _order
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Empty(Effect):
     """The empty language."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Lit(Effect):
     """A one-word language {word}; Lit(()) is the language {eps}."""
 
     word: tuple
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Cat(Effect):
     left: Effect
     right: Effect
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Alt(Effect):
     parts: tuple  # flattened, deduplicated, sorted
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Star(Effect):
     inner: Effect
 
@@ -65,11 +69,11 @@ def lit(word) -> Lit:
 
 def cat(a: Effect, b: Effect) -> Effect:
     """Canonical concatenation: absorbs the empty language, drops eps, merges literals."""
-    if isinstance(a, Empty) or isinstance(b, Empty):
+    if a is EMPTY or b is EMPTY:
         return EMPTY
-    if a == EPS_EFF:
+    if a is EPS_EFF:
         return b
-    if b == EPS_EFF:
+    if b is EPS_EFF:
         return a
     if isinstance(a, Cat):
         return cat(a.left, cat(a.right, b))
@@ -114,7 +118,7 @@ def alt(*effs: Effect) -> Effect:
 
 
 def star(e: Effect) -> Effect:
-    if isinstance(e, Empty) or e == EPS_EFF:
+    if e is EMPTY or e is EPS_EFF:
         return EPS_EFF
     if isinstance(e, Star):
         return e
@@ -234,10 +238,10 @@ def _product_witness(e1: Effect, e2: Effect, sigma, both: bool):
             return w
         for a in sigma:
             n1 = deriv(d1, a)
-            if n1 == EMPTY:
+            if n1 is EMPTY:
                 continue  # no word of L(e1) continues this way
             n2 = deriv(d2, a)
-            if (both and n2 == EMPTY) or (n1, n2) in seen:
+            if (both and n2 is EMPTY) or (n1, n2) in seen:
                 continue
             seen.add((n1, n2))
             queue.append((n1, n2, w + (a,)))
@@ -252,7 +256,7 @@ def inclusion_witness(e1: Effect, e2: Effect):
 @lru_cache(maxsize=_CACHE_SIZE)
 def includes(e1: Effect, e2: Effect) -> bool:
     """True iff L(e1) is a subset of L(e2)."""
-    if e1 == e2 or is_empty_lang(e1):
+    if e1 is e2 or is_empty_lang(e1):
         return True
     return inclusion_witness(e1, e2) is None
 

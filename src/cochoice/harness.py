@@ -293,7 +293,9 @@ def gen_typed_source(seed: int, size: int = 20) -> SrcExpr:
 def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     """Compile at the empty seed, run both sides to normal forms, and check
     that pseudo-compiled source normal forms and erased target normal forms
-    are the same set; also runs both bisimulation checks."""
+    are the same set; also runs both bisimulation checks.  A compiled term
+    that does not erase to the pseudo compilation is a CounterExample
+    ``("strong", reason)``."""
     try:
         src_typecheck(e)
     except SrcTypeError as exc:
@@ -314,7 +316,10 @@ def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
         only_tgt = [tgt_nfs[k] for k in tgt_nfs if k not in src_nfs]
         return CheckReport(COUNTEREXAMPLE, (only_src, only_tgt), explored)
 
-    strong = check_strong_bisim(pseudo_compile(e), m)
+    try:
+        strong = check_strong_bisim(pseudo_compile(e), m)
+    except PreconditionViolated as exc:  # m is typed: erase(m) is not the image
+        return CheckReport(COUNTEREXAMPLE, ("strong", str(exc)), explored)
     explored += strong.explored
     if strong.status == COUNTEREXAMPLE:
         return CheckReport(COUNTEREXAMPLE, ("strong", strong.witness), explored)

@@ -197,7 +197,7 @@ class _Parser:
             self.expect("}")
             return eff.EMPTY
         if self.eat("eps"):
-            return eff.Lit(())
+            return eff.EPS_EFF
         a = self.name_atom()
         if a is None:
             self.fail("expected an effect")

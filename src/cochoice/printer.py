@@ -52,7 +52,7 @@ def format_type(t) -> str:
         left = format_type(t.arg)
         if isinstance(t.arg, (TArrow, TForall)):
             left = f"({left})"
-        arrow = ("->" if t.latent == eff.EMPTY
+        arrow = ("->" if t.latent is eff.EMPTY
                  else f"-{{{format_effect(t.latent)}}}->")
         return f"{left} {arrow} {format_type(t.res)}"
     if isinstance(t, TForall):

@@ -1,7 +1,10 @@
 """Effect languages: smart constructors, derivatives, and the decision
 procedures, cross-checked against brute-force enumeration."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cochoice import effects as eff, node
 from cochoice.effects import (
-    EMPTY, EPS_EFF, Alt, Cat, Lit, Star, alt, cat, star, lit,
+    EMPTY, EPS_EFF, Alt, Cat, Empty, Lit, Star, alt, cat, star, lit,
     nullable, deriv, member, includes, disjoint, lang_eq,
     inclusion_witness, overlap_witness, is_empty_lang, first_atoms,
     effect_subst, effect_vars, is_closed,
@@ -18,6 +21,7 @@ from cochoice.effects import (
 from cochoice import target
 from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
+from cochoice.parser import parse
 from cochoice.target import (
     NonClosedResidual, TargetEnv, effect_pnf, effect_typecheck,
 )
@@ -116,6 +120,58 @@ def test_effect_shapes_are_not_tracked_by_the_gc():
     gc.collect()
     gc.collect()
     assert not any(gc.is_tracked(shape) for shape in node._IDS)
+
+
+# -------------------------------------------------------------- identity
+
+def test_equal_effects_built_apart_are_one_object():
+    e = alt(cat(O, star(B)), AL, EPS_EFF)
+    assert alt(EPS_EFF, AL, cat(O, star(B))) is e
+    assert alt(AL, alt(EPS_EFF, cat(O, star(B))), EMPTY, AL) is e
+    assert cat(cat(O, B), star(AL)) is cat(O, cat(B, star(AL)))
+    assert cat(cat(O, B), AL) is Lit(("o", "b", "al"))
+    assert deriv(cat(O, star(B)), "o") is star(B)
+    assert deriv(e, "o") is star(B)
+    assert parse("effect", "o b* + al + eps") is e
+    assert Empty() is EMPTY and Lit(()) is EPS_EFF
+    assert Star(Alt((B, O))) is star(alt(O, B))
+
+
+def test_random_effects_built_twice_are_one_object():
+    for s in range(300):
+        e = random_effect(random.Random(s), 1 + s % 25)
+        assert random_effect(random.Random(s), 1 + s % 25) is e
+
+
+def test_copy_pickle_and_keywords_give_the_same_object():
+    for e in [Lit(("a", "o")), EMPTY, EPS_EFF,
+              alt(cat(O, star(B)), Lit(("a", "o")), star(alt(O, EPS_EFF)))]:
+        fields = {f: getattr(e, f) for f in e.__match_args__}
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+        assert type(e)(**fields) is e
+        assert dataclasses.replace(e) is e
+    assert Lit(word=("a", "o")) is Lit(("a", "o"))
+    assert dataclasses.replace(O, word=("b",)) is B
+    with pytest.raises(TypeError):
+        Lit()
+    with pytest.raises(TypeError):
+        Lit(("o",), word=("o",))
+
+
+def test_each_shape_has_one_object_and_one_id():
+    """Every effect is held in ``node._IDS`` under its shape, with its hash
+    as its id: ids run from 0 without gaps, and rebuilding an effect from
+    its fields returns the stored object."""
+    for s in range(100):
+        random_effect(random.Random(s), 1 + s % 25)
+    for shape, e in node._IDS.items():
+        assert type(e).__name__ == shape[0]
+        assert shape[1:] == tuple(node._field(getattr(e, f))
+                                  for f in e.__match_args__)
+        assert type(e)(*(getattr(e, f) for f in e.__match_args__)) is e
+    assert sorted(map(hash, node._IDS.values())) == list(range(len(node._IDS)))
 
 
 def assert_agrees_with_derivative_search(e):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cochoice
-from cochoice import harness
+from cochoice import cli, harness
 from cochoice.compiler import compile_expr, pseudo_compile
 from cochoice.harness import (
     OK, COUNTEREXAMPLE, FUEL_EXHAUSTED, PreconditionViolated,
@@ -205,9 +205,11 @@ DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
     ("pseudo_compile", _drop_dummy, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
+    ("pseudo_compile", _drop_dummy, end_to_end,
+     "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
 ], ids=["strong_bisim", "strong_bisim_extra_step", "subject_reduction",
         "non_coordination", "end_to_end", "end_to_end_strong", "weak_bisim",
-        "weak_bisim_dummy"])
+        "weak_bisim_dummy", "end_to_end_dummy"])
 def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                           cause):
     e = src(text)
@@ -220,6 +222,27 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
         assert rep.witness[1].startswith("untyped")
     if check is end_to_end and mutate is _drop_last_successor:
         assert rep.witness[0] == "strong"
+    if check is end_to_end and mutate is _drop_dummy:
+        # the compiled term no longer erases to the faulty pseudo image
+        assert rep.witness == ("strong", "target term does not erase to the "
+                                         "source term")
+
+
+def test_suite_reports_a_faulty_pseudo_compilation(monkeypatch, capsys):
+    """With ``pseudo_compile`` faulty, every check the suite runs ends in a
+    status line, not a traceback: a violated precondition is a FAIL."""
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "pseudo_compile",
+                            _drop_dummy(module.pseudo_compile))
+    monkeypatch.setattr(harness, "_SUCC", {})
+    code = cli.main(["suite", "--n", "3", "--seed", "0", "--size", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 15 and all(" status=" in line for line in lines)
+    assert any("check=strong-bisim status=FAIL precondition=" in line
+               for line in lines)
+    assert any("check=end-to-end status=FAIL witness=('strong'," in line
+               for line in lines)
 
 
 # ------------------------------------------------------------- generator
