@@ -254,17 +254,30 @@ def _suite(ns) -> int:
                 rep = run()
             except PreconditionViolated as exc:  # the suite built the terms
                 failures += 1
-                print(f"{line} status=FAIL precondition={str(exc)!r}")
+                print(f"{line} status=FAIL explored=0 "
+                      f"precondition={str(exc)!r}")
                 continue
             status = {OK: "OK", FUEL_EXHAUSTED: "FUEL"}.get(rep.status, "FAIL")
-            line += f" status={status}"
+            line += f" status={status} explored={rep.explored}"
             if status == "FUEL":
                 line += f" cause={rep.cause}"
             if status == "FAIL":
                 failures += 1
-                line += f" witness={rep.witness!r}"
+                line += f" witness={_show(rep.witness)}"
             print(line)
     return 1 if failures else 0
+
+
+def _show(witness) -> str:
+    """A witness with every term in concrete syntax: tuples and lists keep
+    their brackets, strings their quotes."""
+    if isinstance(witness, tuple):
+        return "(" + ", ".join(_show(w) for w in witness) + ")"
+    if isinstance(witness, list):
+        return "[" + ", ".join(_show(w) for w in witness) + "]"
+    if isinstance(witness, str):
+        return repr(witness)
+    return format_any(witness)
 
 
 if __name__ == "__main__":

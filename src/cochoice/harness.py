@@ -15,10 +15,30 @@ and a FuelExhausted report names its ``cause``:
   ``fuel`` states (subject reduction and non-coordination have none);
 - ``cycle``: an ``end_to_end`` evaluation has an infinite reduction path.
 
-Successors are memoized by ``canon_key`` in ``_SUCC``, an LRU table of at
-most ``_CACHE_SIZE`` terms, so it holds the working set of the programs
-checked last and not every state of the process; source and target keys
-differ, so one memo serves both.
+Every check steps through one successor memo, ``_SUCC``, keyed by
+``canon_key``: the strong and weak bisimulations, subject reduction,
+non-coordination and both evaluations of ``end_to_end``.  Source and target
+keys differ, so one memo serves both calculi.  An entry is a pair
+``(successors, collapsed)``:
+
+- ``successors``: the one-step successors of a source term, or the
+  deduplicated coordinated successors of a target term under the empty
+  world, in the order ``tgt_step_all`` gives them;
+- ``collapsed``: those successors, in the same order, every derivation of
+  which uses ``TR-WorldL`` or ``TR-WorldR``; ``()`` for source terms and
+  for typed terms.
+
+A target entry comes from one ``tgt_step_trace`` call, whose rule paths
+name every rule of a derivation, so non-coordination reads its verdict from
+the entry that subject reduction stepped through.
+
+``_SUCC`` is an LRU table of at most ``_CACHE_SIZE`` = 512 entries, so it
+holds the working set of the programs checked last and not every state of
+the process.  Target states enter it as well as source states.  In one
+seed-0 pass of the typing workload, 4,096 entries save 1,710 of 12,302
+target traversals but raise peak RSS by about a fifth; below 512 the
+bisimulations repeat more work (256 entries: 22,718 traversals of the
+bisim workload against 20,737).
 """
 
 from __future__ import annotations
@@ -29,15 +49,13 @@ from dataclasses import dataclass, replace
 from . import effects as eff
 from .compiler import adm, compile_expr, erase, pseudo_compile
 from .source import (
-    SrcTypeError, Stop, explore, src_eval, src_step_all, src_typecheck,
+    SrcTypeError, Stop, bfs_eval, explore, src_step_all, src_typecheck,
 )
 from .syntax import (
     App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, TgtExpr, Var,
     alpha_eq, canon_key, name_subst, size_of,
 )
-from .target import (
-    TargetEnv, effect_typecheck, subtype, tgt_eval, tgt_step_all, tgt_step_nc,
-)
+from .target import TargetEnv, effect_typecheck, subtype, tgt_step_trace
 
 OK = "OK"
 COUNTEREXAMPLE = "CounterExample"
@@ -70,24 +88,41 @@ def _verdict(search) -> CheckReport:
     return CheckReport(status, None, search.expanded, search.cause)
 
 
-_CACHE_SIZE = 1 << 12  # entries of _SUCC
-_SUCC: dict = {}  # canon_key -> successors, least recently used first
+_CACHE_SIZE = 1 << 9  # entries of _SUCC
+_SUCC: dict = {}  # canon_key -> (successors, collapsed), least recent first
 
 
-def _succ(t) -> list:
-    """One-step successors of a source term, or of a target term under the
-    empty world, memoized by key in an LRU of ``_CACHE_SIZE`` entries: a
-    hit moves to the end of ``_SUCC``, and a miss past the bound evicts the
-    first entry."""
+def _entry(t) -> tuple:
+    """The ``_SUCC`` entry of ``t``, memoized by key in an LRU of
+    ``_CACHE_SIZE`` entries: a hit moves to the end of ``_SUCC``, and a
+    miss past the bound evicts the first entry."""
     k = canon_key(t)
     hit = _SUCC.pop(k, None)
     if hit is None:
-        hit = (tgt_step_all(t, frozenset()) if isinstance(t, TgtExpr)
-               else [s for _, s in src_step_all(t)])
+        hit = (_tgt_entry(t) if isinstance(t, TgtExpr)
+               else ([s for _, s in src_step_all(t)], ()))
         if len(_SUCC) >= _CACHE_SIZE:
             del _SUCC[next(iter(_SUCC))]
     _SUCC[k] = hit
     return hit
+
+
+def _tgt_entry(m) -> tuple:
+    """Successors of ``m`` under the empty world, deduplicated by key, and
+    those that only a collapse rule reaches."""
+    found = {}  # key -> (first successor, every derivation so far collapses)
+    for path, s in tgt_step_trace(m, frozenset()):
+        k = canon_key(s)
+        first, collapses = found.get(k, (s, True))
+        found[k] = (first, collapses and "TR-World" in path)
+    return ([s for s, _ in found.values()],
+            tuple(s for s, collapses in found.values() if collapses))
+
+
+def _succ(t) -> list:
+    """One-step successors of a source term, or of a target term under the
+    empty world, from ``_SUCC``."""
+    return _entry(t)[0]
 
 
 def _bisim(start, depth, image, moves, side) -> CheckReport:
@@ -183,7 +218,7 @@ def check_subject_reduction(m: TgtExpr, depth: int = 8) -> CheckReport:
     root_eff = p0.denote()
 
     def step(t):
-        succ = tgt_step_all(t, frozenset())
+        succ = _succ(t)
         for s in succ:
             try:
                 t1, p1 = effect_typecheck(TargetEnv(), s)
@@ -200,19 +235,25 @@ def check_subject_reduction(m: TgtExpr, depth: int = 8) -> CheckReport:
 
 def check_non_coordination(m: TgtExpr, depth: int = 8) -> CheckReport:
     """Typed terms never use the collapse rules under the empty world:
-    every coordinated ∅-step is also a non-coordinated step."""
+    every coordinated ∅-step is also a non-coordinated step.
+
+    Only ``TR-WorldL`` and ``TR-WorldR`` read the world, so a derivation
+    that uses neither gives the same term under any world, and the
+    non-coordinated successors are exactly the terms that have such a
+    derivation.  Coordinated ⊆ non-coordinated, by key, therefore holds at
+    a state iff the ``collapsed`` part of its ``_SUCC`` entry is empty; the
+    witness ``(t, s)`` names its first collapsed successor ``s``.
+    """
     try:
         effect_typecheck(TargetEnv(), m)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"root term is untyped: {exc}") from exc
 
     def step(t):
-        coord = tgt_step_all(t, frozenset())
-        nc = {canon_key(s) for s in tgt_step_nc(t)}
-        for s in coord:
-            if canon_key(s) not in nc:
-                raise Stop(CheckReport(COUNTEREXAMPLE, (t, s)))
-        return coord
+        succ, collapsed = _entry(t)
+        if collapsed:
+            raise Stop(CheckReport(COUNTEREXAMPLE, (t, collapsed[0])))
+        return succ
 
     return _verdict(explore(m, step, depth))
 
@@ -293,17 +334,18 @@ def gen_typed_source(seed: int, size: int = 20) -> SrcExpr:
 def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     """Compile at the empty seed, run both sides to normal forms, and check
     that pseudo-compiled source normal forms and erased target normal forms
-    are the same set; also runs both bisimulation checks.  A compiled term
-    that does not erase to the pseudo compilation is a CounterExample
-    ``("strong", reason)``."""
+    are the same set; also runs both bisimulation checks.  The evaluations
+    step through ``_SUCC``, so the bisimulations of the same program step
+    the same states once.  A compiled term that does not erase to the
+    pseudo compilation is a CounterExample ``("strong", reason)``."""
     try:
         src_typecheck(e)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"source term is untyped: {exc}") from exc
     m = name_subst(compile_expr(e, "a", ()), "a", ())
 
-    src_res = src_eval(e, fuel=fuel)
-    tgt_res = tgt_eval(m, frozenset(), fuel=fuel)
+    src_res = bfs_eval(e, _succ, fuel)
+    tgt_res = bfs_eval(m, _succ, fuel)
     explored = src_res.explored + tgt_res.explored
     if src_res.exhausted or tgt_res.exhausted:
         return CheckReport(FUEL_EXHAUSTED, None, explored,

@@ -85,7 +85,9 @@ def _infer(e, env):
 # reduction
 
 def src_step_all(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
-    """All one-step successors of ``e`` as (rule, term) pairs."""
+    """All one-step successors of ``e`` as (path, term) pairs, one per
+    derivation; the path names its rules from the root down to the redex,
+    joined by ``/``, such as ``SR-AppR/SR-DistAppL``."""
     out = []
     if isinstance(e, App):
         f, a = e.fn, e.arg
@@ -98,19 +100,19 @@ def src_step_all(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
             out.append(("SR-DistAppL", Choice(App(f.left, a), App(f.right, a))))
         if isinstance(a, Choice) and is_src_value(f):
             out.append(("SR-DistAppR", Choice(App(f, a.left), App(f, a.right))))
-        for _, f2 in src_step_all(f):
-            out.append(("SR-AppL", App(f2, a)))
+        for path, f2 in src_step_all(f):
+            out.append(("SR-AppL/" + path, App(f2, a)))
         if is_src_value(f):
-            for _, a2 in src_step_all(a):
-                out.append(("SR-AppR", App(f, a2)))
+            for path, a2 in src_step_all(a):
+                out.append(("SR-AppR/" + path, App(f, a2)))
     elif isinstance(e, Fix):
         if isinstance(e.body, Lam):
             out.append(("SR-Fix", subst_term(e.body, e.var, e)))
     elif isinstance(e, Choice):
-        for _, l2 in src_step_all(e.left):
-            out.append(("SR-ChoiceL", Choice(l2, e.right)))
-        for _, r2 in src_step_all(e.right):
-            out.append(("SR-ChoiceR", Choice(e.left, r2)))
+        for path, l2 in src_step_all(e.left):
+            out.append(("SR-ChoiceL/" + path, Choice(l2, e.right)))
+        for path, r2 in src_step_all(e.right):
+            out.append(("SR-ChoiceR/" + path, Choice(e.left, r2)))
     return out
 
 

@@ -348,9 +348,11 @@ def _norm_world(delta) -> frozenset:
 def tgt_step_trace(m: TgtExpr, delta=frozenset(), worlds: bool = True) -> list:
     """All one-step successors of ``m`` under world ``delta``.
 
-    Returns (rule, term) pairs, the rule being the one applied at the root.
-    With ``worlds=False`` the two collapse rules are disabled and ``delta``
-    is ignored, which is the non-coordinated relation.
+    Returns (path, term) pairs, one per derivation.  The path names the
+    rules of the derivation from the root down to the redex, joined by
+    ``/``, such as ``TR-AppL/TR-ChoiceR/TR-Beta``.  With ``worlds=False``
+    the two collapse rules are disabled and ``delta`` is ignored, which is
+    the non-coordinated relation.
     """
     delta = _norm_world(delta) if worlds else frozenset()
     return _step(m, delta, worlds)
@@ -371,11 +373,11 @@ def _step(m, delta, worlds):
         if isinstance(a, TChoice) and is_tgt_value(f):
             out.append(("TR-DistAppR",
                         TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
-        for _, f2 in _step(f, delta, worlds):
-            out.append(("TR-AppL", TApp(f2, a)))
+        for path, f2 in _step(f, delta, worlds):
+            out.append(("TR-AppL/" + path, TApp(f2, a)))
         if is_tgt_value(f):
-            for _, a2 in _step(a, delta, worlds):
-                out.append(("TR-AppR", TApp(f, a2)))
+            for path, a2 in _step(a, delta, worlds):
+                out.append(("TR-AppR/" + path, TApp(f, a2)))
     elif isinstance(m, TNameApp):
         f = m.fn
         if isinstance(f, TNameAbs):
@@ -384,17 +386,17 @@ def _step(m, delta, worlds):
             out.append(("TR-DistSApp",
                         TChoice(TNameApp(f.left, m.name), f.name,
                                 TNameApp(f.right, m.name))))
-        for _, f2 in _step(f, delta, worlds):
-            out.append(("TR-SApp", TNameApp(f2, m.name)))
+        for path, f2 in _step(f, delta, worlds):
+            out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
     elif isinstance(m, TFix):
         if isinstance(m.body, TLam):
             out.append(("TR-Fix", subst_term(m.body, m.var, m)))
     elif isinstance(m, TChoice):
         phi = normalize_name(m.name)
-        for _, l2 in _step(m.left, delta | {(phi, "+")}, worlds):
-            out.append(("TR-ChoiceL", TChoice(l2, m.name, m.right)))
-        for _, r2 in _step(m.right, delta | {(phi, "-")}, worlds):
-            out.append(("TR-ChoiceR", TChoice(m.left, m.name, r2)))
+        for path, l2 in _step(m.left, delta | {(phi, "+")}, worlds):
+            out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
+        for path, r2 in _step(m.right, delta | {(phi, "-")}, worlds):
+            out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
         if worlds and (phi, "+") in delta:
             out.append(("TR-WorldL", m.left))
         if worlds and (phi, "-") in delta:

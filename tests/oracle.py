@@ -1,10 +1,13 @@
 """Brute-force reference implementations used to cross-check the effect
 decision procedures, the prefix normal form, the alpha-equivalence keys and
-the weak bisimulation check, plus a deterministic random-effect generator."""
+the weak bisimulation and non-coordination checks, plus a deterministic
+random-effect generator."""
 
 from cochoice import effects as eff
 from cochoice.compiler import pseudo_compile
-from cochoice.harness import COUNTEREXAMPLE, FUEL_EXHAUSTED, OK, CheckReport
+from cochoice.harness import (
+    COUNTEREXAMPLE, FUEL_EXHAUSTED, OK, CheckReport, PreconditionViolated,
+)
 from cochoice.names import is_name_var, normalize_name
 from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
@@ -12,7 +15,11 @@ from cochoice.syntax import (
     canon_key,
 )
 from cochoice.source import Stop, explore, src_step_all
-from cochoice.target import BOTTOM, EffectPNF, NonClosedResidual
+from cochoice.source import SrcTypeError
+from cochoice.target import (
+    BOTTOM, EffectPNF, NonClosedResidual, TargetEnv, effect_typecheck,
+    tgt_step_all, tgt_step_nc,
+)
 
 ATOMS = ("o", "b", "al", "be")
 
@@ -325,6 +332,37 @@ def reference_weak_bisim(e, depth=8, fuel=200, run=4, max_pairs=3000):
 
     search = explore((e, pseudo_compile(e)), step, depth, limit=max_pairs,
                      key=lambda pair: (canon_key(pair[0]), canon_key(pair[1])))
+    if search.verdict is not None:
+        search.verdict.explored = search.expanded
+        return search.verdict
+    return CheckReport(OK if search.cause is None else FUEL_EXHAUSTED, None,
+                       search.expanded, search.cause)
+
+
+# ---------------------------------------------------------------------------
+# non-coordination by two relations: the check that reading collapses off the
+# rule paths (harness.check_non_coordination) replaced
+
+
+def reference_non_coordination(m, depth=8):
+    """Every coordinated ∅-step of every state reachable from ``m`` within
+    ``depth`` steps is also a non-coordinated step, compared by key; the
+    witness ``(t, s)`` is the first coordinated successor ``s`` of ``t``
+    that the non-coordinated relation misses."""
+    try:
+        effect_typecheck(TargetEnv(), m)
+    except SrcTypeError as exc:
+        raise PreconditionViolated(f"root term is untyped: {exc}") from exc
+
+    def step(t):
+        coord = tgt_step_all(t, frozenset())
+        nc = {canon_key(s) for s in tgt_step_nc(t)}
+        for s in coord:
+            if canon_key(s) not in nc:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (t, s)))
+        return coord
+
+    search = explore(m, step, depth)
     if search.verdict is not None:
         search.verdict.explored = search.expanded
         return search.verdict

@@ -59,6 +59,9 @@ def test_src_step(tmp_path, capsys):
     f = term_file(tmp_path, "(\\x:nat. x) 1")
     code, out, _ = run(capsys, "src-step", f)
     assert code == 0 and out.strip() == "SR-Beta: 1"
+    g = term_file(tmp_path, "((\\x:nat. x) 1 || 2)", "nested.txt")
+    code, out, _ = run(capsys, "src-step", g)
+    assert code == 0 and out.strip() == "SR-ChoiceL/SR-Beta: (1 || 2)"
 
 
 ID_APP = "(\\x:nat. x) (1 ||{o} 2)"
@@ -71,11 +74,11 @@ def test_tgt_step(tmp_path, capsys):
     assert code == 0 and out.splitlines() == [ID_DIST]
     code, out, _ = run(capsys, "tgt-step", f, "--delta", "o-")
     assert code == 0
-    assert out.splitlines() == [ID_DIST, "TR-AppR: (\\x:nat. x) 2"]
+    assert out.splitlines() == [ID_DIST, "TR-AppR/TR-WorldR: (\\x:nat. x) 2"]
 
 
 def test_eval_trace_prints_successors_then_normal_forms(tmp_path, capsys):
-    # each one-step successor of the input with its root rule, not a path
+    # each one-step successor of the input with its full rule path
     f = term_file(tmp_path, "(\\x:nat. x) (1 || 2)")
     code, out, _ = run(capsys, "src-eval", f, "--trace")
     assert code == 0
@@ -84,7 +87,8 @@ def test_eval_trace_prints_successors_then_normal_forms(tmp_path, capsys):
     g = term_file(tmp_path, ID_APP, "tgt.txt")
     code, out, _ = run(capsys, "tgt-eval", g, "--trace", "--delta", "o+")
     assert code == 0
-    assert out.splitlines() == [ID_DIST, "TR-AppR: (\\x:nat. x) 1", "1"]
+    assert out.splitlines() == [
+        ID_DIST, "TR-AppR/TR-WorldL: (\\x:nat. x) 1", "1"]
 
 
 def test_tgt_check(tmp_path, capsys):
@@ -175,6 +179,7 @@ def test_suite_line_format(capsys):
         parts = dict(p.split("=", 1) for p in line.split())
         assert parts["status"] in {"OK", "FUEL", "FAIL"}
         assert parts["status"] != "FAIL"
+        assert int(parts["explored"]) > 0
 
 
 def test_suite_fuel_lines_name_their_cause(capsys):

@@ -1,9 +1,9 @@
 """Verification harness: bisimulation checks, metatheory checks, the source
 program generator, and end-to-end runs."""
 
-import dataclasses
 import importlib
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +24,7 @@ from cochoice.syntax import (
     TNum, TChoice, TNameAbs, TNameApp, TVar, TLam, TNAT,
     alpha_eq, canon_key, free_vars, name_subst, size_of,
 )
-from oracle import reference_weak_bisim
+from oracle import reference_non_coordination, reference_weak_bisim
 
 
 def src(text):
@@ -136,6 +136,19 @@ def test_non_coordination_negative_control():
     nc = {canon_key(s) for s in tgt_step_nc(m)}
     assert not coord <= nc or coord == nc == set()
     assert coord - nc  # genuine coordination happened
+    # the successor memo names the same steps as collapses
+    assert {canon_key(s) for s in harness._entry(m)[1]} == coord - nc
+
+
+@pytest.mark.parametrize("seed", [(), ("o",), ("b", "o")],
+                         ids=["eps", "o", "b.o"])
+def test_non_coordination_agrees_with_reference(seed):
+    # reading collapses off the rule paths decides as the two relations do
+    for i in range(300):
+        m = name_subst(compile_expr(gen_typed_source(i, 5 + i % 26), "a", seed),
+                       "a", ())
+        rep, ref = check_non_coordination(m), reference_non_coordination(m)
+        assert (rep.status, rep.explored) == (ref.status, ref.explored), i
 
 
 # ------------------------------------------------------ negative controls
@@ -150,22 +163,41 @@ def _drop_last_successor(real):
 
 
 def _add_self_loop(real):
-    return lambda t, world: real(t, world) + [t]
+    return lambda t, world: real(t, world) + [("TR-Loop", t)]
+
+
+def _skip_a_step(real):
+    # an extra move two steps ahead: it reaches no new normal form
+    def mutant(t, world):
+        out = real(t, world)
+        return out + [("TR-Skip", s2) for _, s in out[:1]
+                      for _, s2 in real(s, world)[:1]]
+    return mutant
 
 
 def _step_to_untyped(real):
-    return lambda t, world: [tgt("1 2")] if real(t, world) else []
+    return lambda t, world: [("TR-Beta", tgt("1 2"))] if real(t, world) else []
 
 
-def _no_steps(real):
-    return lambda t: []
-
-
-def _drop_normal_form(real):
-    def mutant(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return dataclasses.replace(res, normal_forms=res.normal_forms[:-1])
+def _collapse_root_choice(real):
+    # TR-WorldL at a root choice, as if its name were in the empty world
+    def mutant(t, world):
+        out = real(t, world)
+        return out + [("TR-WorldL", t.left)] if isinstance(t, TChoice) else out
     return mutant
+
+
+def _shift_numbers(e):
+    if isinstance(e, Num):
+        return Num(e.value + 1)
+    if isinstance(e, Choice):
+        return Choice(_shift_numbers(e.left), _shift_numbers(e.right))
+    return e
+
+
+def _renumber(real):
+    # erasure that adds one to every number of a choice tree of answers
+    return lambda m: _shift_numbers(real(m))
 
 
 def _swap_choice(real):
@@ -186,21 +218,20 @@ DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
 
 
 @pytest.mark.parametrize("fault, mutate, check, text, status, cause", [
-    ("tgt_step_all", _drop_last_successor,
+    ("tgt_step_trace", _drop_last_successor,
      lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_all", _add_self_loop,
+    ("tgt_step_trace", _add_self_loop,
      lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_all", _step_to_untyped,
+    ("tgt_step_trace", _step_to_untyped,
      lambda e: check_subject_reduction(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_nc", _no_steps,
+    ("tgt_step_trace", _collapse_root_choice,
      lambda e: check_non_coordination(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_eval", _drop_normal_form, end_to_end, DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_all", _drop_last_successor, end_to_end, DEMO, COUNTEREXAMPLE,
-     None),
+    ("erase", _renumber, end_to_end, DEMO, COUNTEREXAMPLE, None),
+    ("tgt_step_trace", _skip_a_step, end_to_end, DEMO, COUNTEREXAMPLE, None),
     ("pseudo_compile", _swap_choice, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
     ("pseudo_compile", _drop_dummy, check_weak_bisim_pseudo,
@@ -220,7 +251,15 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
     assert (rep.status, rep.cause) == (status, cause)
     if mutate is _step_to_untyped:
         assert rep.witness[1].startswith("untyped")
-    if check is end_to_end and mutate is _drop_last_successor:
+    if mutate is _collapse_root_choice:
+        t, s = rep.witness
+        assert isinstance(t, TChoice) and s is t.left
+    if mutate is _renumber:
+        # the normal forms compared: (only_src, only_tgt)
+        only_src, only_tgt = rep.witness
+        assert only_src and only_tgt
+    if mutate is _skip_a_step:
+        # the normal forms agree, and the strong bisimulation sees the move
         assert rep.witness[0] == "strong"
     if check is end_to_end and mutate is _drop_dummy:
         # the compiled term no longer erases to the faulty pseudo image
@@ -228,9 +267,32 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                                          "source term")
 
 
+def test_each_state_is_stepped_once(monkeypatch):
+    # subject reduction steps each state once; non-coordination then reads
+    # every verdict from the successor memo and steps nothing
+    calls, real = [], harness.tgt_step_trace
+
+    def counted(t, world):
+        calls.append(t)
+        return real(t, world)
+
+    monkeypatch.setattr(harness, "tgt_step_trace", counted)
+    monkeypatch.setattr(harness, "_SUCC", {})
+    for text in [DEMO, "((1 || 2) || (3 || 4))"]:
+        m = closed_compile(src(text))
+        calls.clear()
+        sr = check_subject_reduction(m)
+        assert 0 < len(calls) <= sr.explored < harness._CACHE_SIZE
+        calls.clear()
+        assert check_non_coordination(m).status == OK
+        assert calls == []
+
+
 def test_suite_reports_a_faulty_pseudo_compilation(monkeypatch, capsys):
     """With ``pseudo_compile`` faulty, every check the suite runs ends in a
-    status line, not a traceback: a violated precondition is a FAIL."""
+    status line, not a traceback: a violated precondition is a FAIL.  Every
+    line counts the states explored, and a witness prints its terms in
+    concrete syntax."""
     for module in (harness, cli):
         monkeypatch.setattr(module, "pseudo_compile",
                             _drop_dummy(module.pseudo_compile))
@@ -238,11 +300,18 @@ def test_suite_reports_a_faulty_pseudo_compilation(monkeypatch, capsys):
     code = cli.main(["suite", "--n", "3", "--seed", "0", "--size", "12"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert len(lines) == 15 and all(" status=" in line for line in lines)
-    assert any("check=strong-bisim status=FAIL precondition=" in line
+    assert len(lines) == 15
+    assert all(re.search(r" status=\w+ explored=\d+", line) for line in lines)
+    assert any("check=strong-bisim status=FAIL explored=0 precondition=" in line
                for line in lines)
-    assert any("check=end-to-end status=FAIL witness=('strong'," in line
+    assert any("check=end-to-end status=FAIL explored=" in line
+               and "witness=('strong', 'target term does not erase" in line
                for line in lines)
+    weak = [line.split(" witness=")[1] for line in lines
+            if "check=weak-bisim status=FAIL" in line]
+    # ((source, pseudo), ('src', source successor)), with no field names
+    assert weak and all(w.startswith("((") and ", ('src', " in w
+                        and "=" not in w for w in weak)
 
 
 # ------------------------------------------------------------- generator

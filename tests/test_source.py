@@ -71,7 +71,18 @@ def test_function_choice_distributes():
 def test_branches_step_independently():
     e = Choice(App(Lam("x", NAT, Var("x")), Num(1)), Num(2))
     assert [(r, format_expr(t)) for r, t in src_step_all(e)] == [
-        ("SR-ChoiceL", "(1 || 2)")
+        ("SR-ChoiceL/SR-Beta", "(1 || 2)")
+    ]
+
+
+def test_rule_paths_name_every_rule():
+    # the path runs from the root rule down to the redex
+    e = Choice(Num(0), App(Lam("x", NAT, Var("x")),
+                           App(Choice(Lam("y", NAT, Var("y")),
+                                      Lam("y", NAT, Num(9))), Num(1))))
+    assert [(r, format_expr(t)) for r, t in src_step_all(e)] == [
+        ("SR-ChoiceR/SR-AppR/SR-DistAppL",
+         "(0 || (\\x:nat. x) ((\\y:nat. y) 1 || (\\y:nat. 9) 1))")
     ]
 
 

@@ -176,6 +176,20 @@ def test_world_rules_collapse_choices():
     assert tgt_step_all(m, frozenset()) == []
 
 
+def test_rule_paths_name_every_rule():
+    # inside the left branch the world holds o+ and o-, so the inner choice
+    # collapses either way; at the root only o- is recorded
+    m = tgt("((\\x:nat. x) (1 ||{o} 2) ||{o} 3)")
+    assert [(r, format_expr(t))
+            for r, t in tgt_step_trace(m, {(("o",), "-")})] == [
+        ("TR-ChoiceL/TR-DistAppR",
+         "(((\\x:nat. x) 1 ||{o} (\\x:nat. x) 2) ||{o} 3)"),
+        ("TR-ChoiceL/TR-AppR/TR-WorldL", "((\\x:nat. x) 1 ||{o} 3)"),
+        ("TR-ChoiceL/TR-AppR/TR-WorldR", "((\\x:nat. x) 2 ||{o} 3)"),
+        ("TR-WorldR", "3"),
+    ]
+
+
 def test_choice_recursion_extends_world():
     # stepping inside the left branch of a named choice records name+
     m = tgt("((1 ||{o} 2) ||{o} 3)")
