@@ -114,7 +114,8 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsing, typing, stepping and keys all recurse on the term's depth
+        # typing, stepping and keys recurse on the term's depth; parsing
+        # stops at parser.MAX_NESTING with a ParseError
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -32,6 +32,12 @@ A target entry comes from one ``tgt_step_trace`` call, whose rule paths
 name every rule of a derivation, so non-coordination reads its verdict from
 the entry that subject reduction stepped through.
 
+``_SUCC`` sits on top of the step memos of ``source`` and ``target``: a
+state it misses is stepped by ``src_step_all`` or ``tgt_step_trace``, whose
+recursion answers every subterm stepped before from its memo, so the state
+costs the spine its own step changed, and the successors it gets are the
+objects built before, their keys already in their slots.
+
 ``_SUCC`` is an LRU table of at most ``_CACHE_SIZE`` = 512 entries, so it
 holds the working set of the programs checked last and not every state of
 the process.  Target states enter it as well as source states.  In one

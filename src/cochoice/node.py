@@ -7,8 +7,11 @@ hash once computed, so a dict or ``lru_cache`` lookup hashes a tree of any
 size in one slot read. ``_key`` holds the node's alpha-normal key, filled
 in by ``syntax.canon_key``.
 
-Types and terms hash their class and fields, using the children's cached
-hashes, and compare field by field, accepting shared children on identity.
+Types and terms hash their class and fields, a child node by its cached
+hash, and compare field by field, accepting shared children on identity.
+Both walk the tree from an explicit stack, not by recursion, so a term of
+any depth hashes and compares; hashing visits only the nodes below that
+have no hash yet.
 
 Effects are ``Interned``, that is hash-consed: each is built once per
 shape, the class name and the fields with each child effect replaced by its
@@ -25,9 +28,22 @@ shape in every full collection. The table is not bounded: a dropped shape
 would give an equal effect built later a second object, and the two would
 compare unequal.
 
-Terms are not interned because the table would hold one entry for every
-distinct subterm ever hashed: on the benchmark's ``translate`` workload
-that cost 38 MB more peak memory.
+Terms are not interned. Interning would make term equality identity and
+build each key once. A prototype that interned terms and types in weak
+tables (``weakref.WeakValueDictionary``, whose entries die with the last
+reference to their term) made ``wall_s`` 0.67 times as long as without
+it on the benchmark's ``bisim`` workload and 0.86 times on ``typing``
+(2 vCPUs, Python 3.11.7). It cost ``translate`` three ways:
+
+- building its corpus in-process took 0.55-0.99 s instead of 0.31-0.52 s,
+  more than the 25 % by which the benchmark lets ``setup_s`` grow;
+- with a weak term table alone, its peak memory rose from 83 to 96 MB;
+- with the nameless keys and the effects weak as well, peak memory stayed
+  at 83 MB, but the garbage collector took 3.2-3.4 s instead of 2.3-2.8 s.
+
+The step memos of ``source`` and ``target`` win back part of the stepping
+time without these costs. An earlier strong table of every subterm ever
+hashed cost 38 MB more peak memory on ``translate``.
 """
 
 from __future__ import annotations
@@ -40,19 +56,43 @@ class Node:
         try:
             return self._hash
         except AttributeError:
-            h = hash((type(self), *[getattr(self, f) for f in self.__match_args__]))
-            object.__setattr__(self, "_hash", h)
-            return h
+            pass
+        # the class and fields, a child node by its hash; children without
+        # one are hashed first, from a stack, so that no depth recurses
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            parts = [type(node)]
+            for f in node.__match_args__:
+                v = getattr(node, f)
+                if isinstance(v, Node):
+                    try:
+                        v = v._hash
+                    except AttributeError:
+                        stack.append(v)
+                parts.append(v)
+            if stack[-1] is node:
+                stack.pop()
+                object.__setattr__(node, "_hash", hash(tuple(parts)))
+        return self._hash
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        for f in self.__match_args__:
-            a, b = getattr(self, f), getattr(other, f)
-            if a is not b and a != b:
-                return False
+        pairs = [(self, other)]  # of one class, compared in turn, no recursion
+        for a, b in pairs:
+            for f in a.__match_args__:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is y:
+                    continue
+                if type(x) is not type(y):
+                    return False
+                if isinstance(x, Node) and not isinstance(x, Interned):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
         return True
 
 

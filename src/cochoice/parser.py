@@ -6,11 +6,17 @@ name abstraction, ``fix f:T. e`` the fixpoint, ``(e || f)`` a plain choice,
 ``(M ||{n} N)`` a named choice, ``M @ n`` name application (the name is a
 greedy run of atoms), ``-{phi}->`` an arrow with a latent effect (plain
 ``->`` means latent ``{}``), and ``all a.{phi} t`` a name-quantified type.
+
+The parser recurses once per level of nesting, so it stops at
+``MAX_NESTING`` nested terms, types and effects (a parenthesis, a binder's
+body, the result of an arrow) with a ``ParseError`` instead of exhausting
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from . import effects as eff
 from .names import OFF, ON
@@ -30,6 +36,8 @@ class ParseError(Exception):
     def __str__(self):
         return f"{self.line}:{self.column}: {self.message}"
 
+
+MAX_NESTING = 150  # levels; a level costs the parser up to five Python frames
 
 _SYMBOLS = ["/\\", "||", "-{", "->", "\\", "(", ")", "{", "}", ":", ".",
             "@", "+", "*", ","]
@@ -92,10 +100,25 @@ def _tokenize(text: str):
     return toks
 
 
+def _nested(rule):
+    """A parser rule that opens one level of nesting."""
+    @wraps(rule)
+    def counted(self):
+        if self.depth >= MAX_NESTING:
+            self.fail(f"input nested too deeply: more than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return rule(self)
+        finally:
+            self.depth -= 1
+    return counted
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # levels of nesting open at the current token
 
     # -- plumbing ----------------------------------------------------------
     def peek(self) -> _Tok:
@@ -163,6 +186,7 @@ class _Parser:
         return tuple(atoms)
 
     # -- effects -----------------------------------------------------------
+    @_nested
     def effect(self) -> eff.Effect:
         parts = [self.eff_cat()]
         while self.eat("+"):
@@ -204,6 +228,7 @@ class _Parser:
         return eff.Lit((a,))
 
     # -- types -------------------------------------------------------------
+    @_nested
     def src_type(self):
         left = self.src_type_atom()
         if self.eat("->"):
@@ -219,6 +244,7 @@ class _Parser:
             return t
         self.fail("expected a type")
 
+    @_nested
     def tgt_type(self):
         if self.eat("all"):
             a = self.ident("name variable")
@@ -247,6 +273,7 @@ class _Parser:
         self.fail("expected a type")
 
     # -- source terms ------------------------------------------------------
+    @_nested
     def src_expr(self):
         if self.eat("\\"):
             x = self.ident("variable")
@@ -292,6 +319,7 @@ class _Parser:
         self.fail("expected an expression")
 
     # -- target terms ------------------------------------------------------
+    @_nested
     def tgt_expr(self):
         if self.eat("\\"):
             x = self.ident("variable")

@@ -84,35 +84,58 @@ def _infer(e, env):
 # ---------------------------------------------------------------------------
 # reduction
 
+_STEP_CACHE_SIZE = 1 << 9  # entries of _STEPS
+_STEPS: dict = {}  # term -> its (path, successor) pairs, least recent first
+
+
 def src_step_all(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
     """All one-step successors of ``e`` as (path, term) pairs, one per
     derivation; the path names its rules from the root down to the redex,
     joined by ``/``, such as ``SR-AppR/SR-DistAppL``."""
-    out = []
-    if isinstance(e, App):
-        f, a = e.fn, e.arg
-        if isinstance(f, Lam) and is_src_value(a):
-            out.append(("SR-Beta", subst_term(f.body, f.var, a)))
-        if isinstance(f, App) and isinstance(f.fn, Add) and isinstance(f.arg, Num) \
-                and isinstance(a, Num):
-            out.append(("SR-Add", Num(f.arg.value + a.value)))
-        if isinstance(f, Choice):
-            out.append(("SR-DistAppL", Choice(App(f.left, a), App(f.right, a))))
-        if isinstance(a, Choice) and is_src_value(f):
-            out.append(("SR-DistAppR", Choice(App(f, a.left), App(f, a.right))))
-        for path, f2 in src_step_all(f):
-            out.append(("SR-AppL/" + path, App(f2, a)))
-        if is_src_value(f):
-            for path, a2 in src_step_all(a):
-                out.append(("SR-AppR/" + path, App(f, a2)))
-    elif isinstance(e, Fix):
-        if isinstance(e.body, Lam):
-            out.append(("SR-Fix", subst_term(e.body, e.var, e)))
-    elif isinstance(e, Choice):
-        for path, l2 in src_step_all(e.left):
-            out.append(("SR-ChoiceL/" + path, Choice(l2, e.right)))
-        for path, r2 in src_step_all(e.right):
-            out.append(("SR-ChoiceR/" + path, Choice(e.left, r2)))
+    return list(_step(e))
+
+
+def _step(e) -> tuple:
+    """``src_step_all(e)`` as a tuple, memoized per term in ``_STEPS``, an
+    LRU of ``_STEP_CACHE_SIZE`` entries.  A successor shares every subterm
+    its step left alone, so stepping it answers those from the memo, and a
+    hit hands out the successor objects built before.  Other terms than
+    applications, fixpoints and choices do not step and stay out of it."""
+    if not isinstance(e, (App, Fix, Choice)):
+        return ()
+    out = _STEPS.pop(e, None)
+    if out is None:
+        out = []
+        if isinstance(e, App):
+            f, a = e.fn, e.arg
+            if isinstance(f, Lam) and is_src_value(a):
+                out.append(("SR-Beta", subst_term(f.body, f.var, a)))
+            if isinstance(f, App) and isinstance(f.fn, Add) \
+                    and isinstance(f.arg, Num) and isinstance(a, Num):
+                out.append(("SR-Add", Num(f.arg.value + a.value)))
+            if isinstance(f, Choice):
+                out.append(("SR-DistAppL",
+                            Choice(App(f.left, a), App(f.right, a))))
+            if isinstance(a, Choice) and is_src_value(f):
+                out.append(("SR-DistAppR",
+                            Choice(App(f, a.left), App(f, a.right))))
+            for path, f2 in _step(f):
+                out.append(("SR-AppL/" + path, App(f2, a)))
+            if is_src_value(f):
+                for path, a2 in _step(a):
+                    out.append(("SR-AppR/" + path, App(f, a2)))
+        elif isinstance(e, Fix):
+            if isinstance(e.body, Lam):
+                out.append(("SR-Fix", subst_term(e.body, e.var, e)))
+        elif isinstance(e, Choice):
+            for path, l2 in _step(e.left):
+                out.append(("SR-ChoiceL/" + path, Choice(l2, e.right)))
+            for path, r2 in _step(e.right):
+                out.append(("SR-ChoiceR/" + path, Choice(e.left, r2)))
+        out = tuple(out)
+        if len(_STEPS) >= _STEP_CACHE_SIZE:
+            del _STEPS[next(iter(_STEPS))]
+    _STEPS[e] = out
     return out
 
 

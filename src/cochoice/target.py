@@ -345,6 +345,10 @@ def _norm_world(delta) -> frozenset:
     return frozenset((normalize_name(w), pol) for w, pol in delta)
 
 
+_STEP_CACHE_SIZE = 1 << 9  # entries of _STEPS
+_STEPS: dict = {}  # (term, world) -> (path, successor) pairs, least recent first
+
+
 def tgt_step_trace(m: TgtExpr, delta=frozenset(), worlds: bool = True) -> list:
     """All one-step successors of ``m`` under world ``delta``.
 
@@ -354,53 +358,68 @@ def tgt_step_trace(m: TgtExpr, delta=frozenset(), worlds: bool = True) -> list:
     the two collapse rules are disabled and ``delta`` is ignored, which is
     the non-coordinated relation.
     """
-    delta = _norm_world(delta) if worlds else frozenset()
-    return _step(m, delta, worlds)
+    return list(_step(m, _norm_world(delta) if worlds else None))
 
 
-def _step(m, delta, worlds):
-    out = []
-    if isinstance(m, TApp):
-        f, a = m.fn, m.arg
-        if isinstance(f, TLam) and is_tgt_value(a):
-            out.append(("TR-Beta", subst_term(f.body, f.var, a)))
-        if isinstance(f, TApp) and isinstance(f.fn, TAdd) \
-                and isinstance(f.arg, TNum) and isinstance(a, TNum):
-            out.append(("TR-Add", TNum(f.arg.value + a.value)))
-        if isinstance(f, TChoice):
-            out.append(("TR-DistAppL",
-                        TChoice(TApp(f.left, a), f.name, TApp(f.right, a))))
-        if isinstance(a, TChoice) and is_tgt_value(f):
-            out.append(("TR-DistAppR",
-                        TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
-        for path, f2 in _step(f, delta, worlds):
-            out.append(("TR-AppL/" + path, TApp(f2, a)))
-        if is_tgt_value(f):
-            for path, a2 in _step(a, delta, worlds):
-                out.append(("TR-AppR/" + path, TApp(f, a2)))
-    elif isinstance(m, TNameApp):
-        f = m.fn
-        if isinstance(f, TNameAbs):
-            out.append(("TR-Sigma", name_subst(f.body, f.var, m.name)))
-        if isinstance(f, TChoice):
-            out.append(("TR-DistSApp",
-                        TChoice(TNameApp(f.left, m.name), f.name,
-                                TNameApp(f.right, m.name))))
-        for path, f2 in _step(f, delta, worlds):
-            out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
-    elif isinstance(m, TFix):
-        if isinstance(m.body, TLam):
-            out.append(("TR-Fix", subst_term(m.body, m.var, m)))
-    elif isinstance(m, TChoice):
-        phi = normalize_name(m.name)
-        for path, l2 in _step(m.left, delta | {(phi, "+")}, worlds):
-            out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
-        for path, r2 in _step(m.right, delta | {(phi, "-")}, worlds):
-            out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
-        if worlds and (phi, "+") in delta:
-            out.append(("TR-WorldL", m.left))
-        if worlds and (phi, "-") in delta:
-            out.append(("TR-WorldR", m.right))
+def _step(m, delta) -> tuple:
+    """``tgt_step_trace`` as a tuple, under world ``delta``, or under the
+    non-coordinated relation when ``delta`` is None.  Memoized per term and
+    world in ``_STEPS``, an LRU of ``_STEP_CACHE_SIZE`` entries, as
+    ``source._step`` is per term."""
+    if not isinstance(m, (TApp, TNameApp, TFix, TChoice)):
+        return ()
+    key = (m, delta)
+    out = _STEPS.pop(key, None)
+    if out is None:
+        out = []
+        if isinstance(m, TApp):
+            f, a = m.fn, m.arg
+            if isinstance(f, TLam) and is_tgt_value(a):
+                out.append(("TR-Beta", subst_term(f.body, f.var, a)))
+            if isinstance(f, TApp) and isinstance(f.fn, TAdd) \
+                    and isinstance(f.arg, TNum) and isinstance(a, TNum):
+                out.append(("TR-Add", TNum(f.arg.value + a.value)))
+            if isinstance(f, TChoice):
+                out.append(("TR-DistAppL",
+                            TChoice(TApp(f.left, a), f.name, TApp(f.right, a))))
+            if isinstance(a, TChoice) and is_tgt_value(f):
+                out.append(("TR-DistAppR",
+                            TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
+            for path, f2 in _step(f, delta):
+                out.append(("TR-AppL/" + path, TApp(f2, a)))
+            if is_tgt_value(f):
+                for path, a2 in _step(a, delta):
+                    out.append(("TR-AppR/" + path, TApp(f, a2)))
+        elif isinstance(m, TNameApp):
+            f = m.fn
+            if isinstance(f, TNameAbs):
+                out.append(("TR-Sigma", name_subst(f.body, f.var, m.name)))
+            if isinstance(f, TChoice):
+                out.append(("TR-DistSApp",
+                            TChoice(TNameApp(f.left, m.name), f.name,
+                                    TNameApp(f.right, m.name))))
+            for path, f2 in _step(f, delta):
+                out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
+        elif isinstance(m, TFix):
+            if isinstance(m.body, TLam):
+                out.append(("TR-Fix", subst_term(m.body, m.var, m)))
+        else:  # a choice, whose branches step under the world it extends
+            phi = normalize_name(m.name)
+            left = right = None
+            if delta is not None:
+                left, right = delta | {(phi, "+")}, delta | {(phi, "-")}
+            for path, l2 in _step(m.left, left):
+                out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
+            for path, r2 in _step(m.right, right):
+                out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
+            if delta is not None and (phi, "+") in delta:
+                out.append(("TR-WorldL", m.left))
+            if delta is not None and (phi, "-") in delta:
+                out.append(("TR-WorldR", m.right))
+        out = tuple(out)
+        if len(_STEPS) >= _STEP_CACHE_SIZE:
+            del _STEPS[next(iter(_STEPS))]
+    _STEPS[key] = out
     return out
 
 

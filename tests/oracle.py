@@ -1,7 +1,7 @@
 """Brute-force reference implementations used to cross-check the effect
-decision procedures, the prefix normal form, the alpha-equivalence keys and
-the weak bisimulation and non-coordination checks, plus a deterministic
-random-effect generator."""
+decision procedures, the prefix normal form, the alpha-equivalence keys,
+one-step reduction in both calculi and the weak bisimulation and
+non-coordination checks, plus a deterministic random-effect generator."""
 
 from cochoice import effects as eff
 from cochoice.compiler import pseudo_compile
@@ -12,7 +12,7 @@ from cochoice.names import is_name_var, normalize_name
 from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
     TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar, Var,
-    canon_key,
+    canon_key, is_src_value, is_tgt_value, name_subst, subst_term,
 )
 from cochoice.source import Stop, explore, src_step_all
 from cochoice.source import SrcTypeError
@@ -368,3 +368,95 @@ def reference_non_coordination(m, depth=8):
         return search.verdict
     return CheckReport(OK if search.cause is None else FUEL_EXHAUSTED, None,
                        search.expanded, search.cause)
+
+
+# ---------------------------------------------------------------------------
+# one-step reduction without the per-subterm memo: the steppers that
+# source.src_step_all and target.tgt_step_trace memoize, which must give the
+# same (path, term) pairs in the same order
+
+
+def reference_src_step(e):
+    """Every one-step successor of a source term, one per derivation, as
+    ``(path, term)`` pairs, recomputing the successors of every subterm."""
+    out = []
+    if isinstance(e, App):
+        f, a = e.fn, e.arg
+        if isinstance(f, Lam) and is_src_value(a):
+            out.append(("SR-Beta", subst_term(f.body, f.var, a)))
+        if isinstance(f, App) and isinstance(f.fn, Add) and isinstance(f.arg, Num) \
+                and isinstance(a, Num):
+            out.append(("SR-Add", Num(f.arg.value + a.value)))
+        if isinstance(f, Choice):
+            out.append(("SR-DistAppL", Choice(App(f.left, a), App(f.right, a))))
+        if isinstance(a, Choice) and is_src_value(f):
+            out.append(("SR-DistAppR", Choice(App(f, a.left), App(f, a.right))))
+        for path, f2 in reference_src_step(f):
+            out.append(("SR-AppL/" + path, App(f2, a)))
+        if is_src_value(f):
+            for path, a2 in reference_src_step(a):
+                out.append(("SR-AppR/" + path, App(f, a2)))
+    elif isinstance(e, Fix):
+        if isinstance(e.body, Lam):
+            out.append(("SR-Fix", subst_term(e.body, e.var, e)))
+    elif isinstance(e, Choice):
+        for path, l2 in reference_src_step(e.left):
+            out.append(("SR-ChoiceL/" + path, Choice(l2, e.right)))
+        for path, r2 in reference_src_step(e.right):
+            out.append(("SR-ChoiceR/" + path, Choice(e.left, r2)))
+    return out
+
+
+def reference_tgt_step(m, delta=frozenset(), worlds=True):
+    """Every one-step successor of a target term under world ``delta``, as
+    ``tgt_step_trace`` gives them, recomputing every subterm's successors;
+    ``worlds=False`` disables the collapse rules and ignores ``delta``."""
+    delta = frozenset((normalize_name(w), pol) for w, pol in delta) \
+        if worlds else frozenset()
+    return _ref_tgt_step(m, delta, worlds)
+
+
+def _ref_tgt_step(m, delta, worlds):
+    out = []
+    if isinstance(m, TApp):
+        f, a = m.fn, m.arg
+        if isinstance(f, TLam) and is_tgt_value(a):
+            out.append(("TR-Beta", subst_term(f.body, f.var, a)))
+        if isinstance(f, TApp) and isinstance(f.fn, TAdd) \
+                and isinstance(f.arg, TNum) and isinstance(a, TNum):
+            out.append(("TR-Add", TNum(f.arg.value + a.value)))
+        if isinstance(f, TChoice):
+            out.append(("TR-DistAppL",
+                        TChoice(TApp(f.left, a), f.name, TApp(f.right, a))))
+        if isinstance(a, TChoice) and is_tgt_value(f):
+            out.append(("TR-DistAppR",
+                        TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
+        for path, f2 in _ref_tgt_step(f, delta, worlds):
+            out.append(("TR-AppL/" + path, TApp(f2, a)))
+        if is_tgt_value(f):
+            for path, a2 in _ref_tgt_step(a, delta, worlds):
+                out.append(("TR-AppR/" + path, TApp(f, a2)))
+    elif isinstance(m, TNameApp):
+        f = m.fn
+        if isinstance(f, TNameAbs):
+            out.append(("TR-Sigma", name_subst(f.body, f.var, m.name)))
+        if isinstance(f, TChoice):
+            out.append(("TR-DistSApp",
+                        TChoice(TNameApp(f.left, m.name), f.name,
+                                TNameApp(f.right, m.name))))
+        for path, f2 in _ref_tgt_step(f, delta, worlds):
+            out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
+    elif isinstance(m, TFix):
+        if isinstance(m.body, TLam):
+            out.append(("TR-Fix", subst_term(m.body, m.var, m)))
+    elif isinstance(m, TChoice):
+        phi = normalize_name(m.name)
+        for path, l2 in _ref_tgt_step(m.left, delta | {(phi, "+")}, worlds):
+            out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
+        for path, r2 in _ref_tgt_step(m.right, delta | {(phi, "-")}, worlds):
+            out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
+        if worlds and (phi, "+") in delta:
+            out.append(("TR-WorldL", m.left))
+        if worlds and (phi, "-") in delta:
+            out.append(("TR-WorldR", m.right))
+    return out

@@ -238,3 +238,18 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse("src", "(1 ||")
     assert exc.value.line >= 1 and exc.value.column >= 1
+
+
+def test_parse_stops_at_the_nesting_limit():
+    # MAX_NESTING levels open the top-level term and one per parenthesis
+    from cochoice.parser import MAX_NESTING
+    assert MAX_NESTING == 150
+    n = MAX_NESTING - 1
+    assert parse("src", "(" * n + "1" + ")" * n) == parse("src", "1")
+    assert parse("effect", "(" * n + "o" + ")" * n) == parse("effect", "o")
+    for text in ["(" * (n + 1) + "1" + ")" * (n + 1),
+                 "(" * 600 + "1" + ")" * 600,
+                 "\\x:nat. " * 600 + "x"]:
+        with pytest.raises(ParseError) as exc:
+            parse("src", text)
+        assert f"more than {MAX_NESTING} levels" in str(exc.value)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cochoice
-from cochoice import cli, harness
+from cochoice import cli, harness, source, target
 from cochoice.compiler import compile_expr, pseudo_compile
 from cochoice.harness import (
     OK, COUNTEREXAMPLE, FUEL_EXHAUSTED, PreconditionViolated,
@@ -37,6 +37,14 @@ def tgt(text):
 
 def closed_compile(e, alpha="a"):
     return name_subst(compile_expr(e, alpha, ()), alpha, ())
+
+
+def empty_memos(monkeypatch):
+    """Swap the harness's successor memo and both step memos for empty
+    ones, so that no entry of an earlier run answers a step."""
+    monkeypatch.setattr(harness, "_SUCC", {})
+    monkeypatch.setattr(source, "_STEPS", {})
+    monkeypatch.setattr(target, "_STEPS", {})
 
 
 # ----------------------------------------------------------------- bisim
@@ -155,8 +163,8 @@ def test_non_coordination_agrees_with_reference(seed):
 #
 # Each case plants a fault into the harness namespace and checks that the
 # check it targets reports it on a program the check passes unmutated.  The
-# successor memo is swapped for an empty one: a memo warmed by the unmutated
-# run would answer with the correct successors and hide the fault.
+# successor and step memos are swapped for empty ones: a memo warmed by the
+# unmutated run would answer with the correct successors and hide the fault.
 
 def _drop_last_successor(real):
     return lambda t, world: real(t, world)[:-1]
@@ -246,7 +254,7 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
     e = src(text)
     assert check(e).status == OK
     monkeypatch.setattr(harness, fault, mutate(getattr(harness, fault)))
-    monkeypatch.setattr(harness, "_SUCC", {})
+    empty_memos(monkeypatch)
     rep = check(e)
     assert (rep.status, rep.cause) == (status, cause)
     if mutate is _step_to_untyped:
@@ -277,7 +285,7 @@ def test_each_state_is_stepped_once(monkeypatch):
         return real(t, world)
 
     monkeypatch.setattr(harness, "tgt_step_trace", counted)
-    monkeypatch.setattr(harness, "_SUCC", {})
+    empty_memos(monkeypatch)
     for text in [DEMO, "((1 || 2) || (3 || 4))"]:
         m = closed_compile(src(text))
         calls.clear()
@@ -296,7 +304,7 @@ def test_suite_reports_a_faulty_pseudo_compilation(monkeypatch, capsys):
     for module in (harness, cli):
         monkeypatch.setattr(module, "pseudo_compile",
                             _drop_dummy(module.pseudo_compile))
-    monkeypatch.setattr(harness, "_SUCC", {})
+    empty_memos(monkeypatch)
     code = cli.main(["suite", "--n", "3", "--seed", "0", "--size", "12"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
@@ -384,13 +392,20 @@ def test_every_cache_is_bounded(monkeypatch):
     assert "effects.deriv" in lru and "compiler.erase" in lru
     assert [name for name, size in lru.items() if size is None] == []
 
-    # _SUCC is an LRU table: run checks over more distinct states than its
-    # bound, with the bound made small, and it never holds more.
+    # _SUCC and the two step memos are LRU tables: run checks over more
+    # distinct states than their bounds, with the bounds made small, and
+    # none of them ever holds more.
     bound, default = 32, harness._CACHE_SIZE
+    step_default = source._STEP_CACHE_SIZE
+    assert (default, step_default, target._STEP_CACHE_SIZE) == (512, 512, 512)
+    memos = {source: set(), target: set()}  # module -> its memo keys met
     monkeypatch.setattr(harness, "_CACHE_SIZE", bound)
-    monkeypatch.setattr(harness, "_SUCC", {})
+    for mod in memos:
+        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", bound)
+    empty_memos(monkeypatch)
     sizes = {name: len(t) for name, t in _tables().items()}
     seen, real = set(), harness._succ
+    real_steps = {mod: mod._step for mod in memos}
 
     def succ(t):
         seen.add(canon_key(t))
@@ -399,17 +414,68 @@ def test_every_cache_is_bounded(monkeypatch):
         assert next(reversed(harness._SUCC)) == canon_key(t)  # last used
         return out
 
+    def bounded_step(mod):
+        def step(*args):
+            out = real_steps[mod](*args)
+            assert len(mod._STEPS) <= bound
+            if mod._STEPS:
+                memos[mod].add(next(reversed(mod._STEPS)))
+            return out
+        return step
+
     monkeypatch.setattr(harness, "_succ", succ)
+    for mod in memos:
+        monkeypatch.setattr(mod, "_step", bounded_step(mod))
     programs = [gen_typed_source(i, 5 + i % 26) for i in range(40, 60)]
     bounded = [end_to_end(e) for e in programs]
     assert len(seen) > 4 * bound
-    assert len(harness._SUCC) == bound
+    assert all(len(keys) > 4 * bound for keys in memos.values())
+    assert len(harness._SUCC) == len(source._STEPS) == len(target._STEPS) == bound
 
     grown = {name for name, t in _tables().items() if len(t) > sizes[name]}
-    assert grown <= INTERN_TABLES | {"harness._SUCC"}
+    assert grown <= INTERN_TABLES | {"harness._SUCC", "source._STEPS",
+                                     "target._STEPS"}
 
-    # the bound changes no verdict
+    # the bounds change no verdict
     monkeypatch.setattr(harness, "_succ", real)
     monkeypatch.setattr(harness, "_CACHE_SIZE", default)
-    monkeypatch.setattr(harness, "_SUCC", {})
+    for mod in memos:
+        monkeypatch.setattr(mod, "_step", real_steps[mod])
+        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", step_default)
+    empty_memos(monkeypatch)
     assert [end_to_end(e) for e in programs] == bounded
+
+
+def test_each_subterm_is_stepped_once(monkeypatch):
+    # A state's successors are built from its subterms' successors, which
+    # the step memos return for every subterm stepped before: stepping a
+    # successor recurses only along the spine that its step changed.  The
+    # recursive calls of the two step functions, over the checks of the
+    # bisim benchmark workload on acceptance programs 0-39 from empty memos,
+    # repeat exactly.  Without the memos the same run makes 14,453 and
+    # 10,374 of them, for the same 1,362 and 1,034 outer calls.
+    empty_memos(monkeypatch)
+    counts = {source: [0, 0, 0], target: [0, 0, 0]}  # outer, inner, depth
+
+    def counting(mod):
+        real = mod._step
+
+        def step(*args):
+            count = counts[mod]
+            count[count[2] > 0] += 1
+            count[2] += 1
+            try:
+                return real(*args)
+            finally:
+                count[2] -= 1
+        return step
+
+    for mod in counts:
+        monkeypatch.setattr(mod, "_step", counting(mod))
+    for i in range(40):
+        e = gen_typed_source(i, 5 + i % 26)
+        check_strong_bisim(pseudo_compile(e), closed_compile(e, "al"), depth=8)
+        check_weak_bisim_pseudo(e, depth=8, fuel=200)
+        end_to_end(e, fuel=200)
+    assert counts[source][:2] == [1362, 3874]
+    assert counts[target][:2] == [1034, 2821]

@@ -15,6 +15,7 @@ from cochoice.syntax import (
     NAT, Arrow, Var, App, Lam, Fix, Choice, Num, ADD, alpha_eq,
 )
 from cochoice.harness import gen_typed_source
+from oracle import reference_src_step
 
 
 def src(text):
@@ -89,6 +90,48 @@ def test_rule_paths_name_every_rule():
 def test_add_delta_rule():
     e = App(App(ADD, Num(2)), Num(3))
     assert [(r, t) for r, t in src_step_all(e)] == [("SR-Add", Num(5))]
+
+
+def test_memoized_steps_agree_with_reference(monkeypatch):
+    # every state within three steps of the first 60 acceptance programs,
+    # stepped first from an empty memo and then from the one it filled
+    monkeypatch.setattr(source, "_STEPS", {})
+    checked = 0
+    for i in range(60):
+        found = explore(gen_typed_source(i, 5 + i % 26),
+                        lambda t: [s for _, s in src_step_all(t)], depth=3).found
+        for t in found.values():
+            assert src_step_all(t) == reference_src_step(t), i
+            checked += 1
+    assert checked > 150  # 199 states, 60 of them the programs
+
+
+def test_step_memo_is_not_poisoned():
+    e = src("((\\x:nat. x) 1 || (\\y:nat. y) (2 || 3))")
+    first = src_step_all(e)
+    assert len(first) == 2
+    first.append(("SR-Bogus", e))
+    assert src_step_all(e) == first[:2]
+    src_step_all(e).clear()
+    assert src_step_all(e) == first[:2] == reference_src_step(e)
+
+
+def deep_tree():
+    t = src("(\\x:nat. x) 1")
+    for i in range(900):
+        t = Choice(t, Num(i))
+    return t
+
+
+def test_deep_choice_tree_steps():
+    # one frame per level: a 900-deep choice tree steps at its leaf redex,
+    # and an equal tree built apart is answered from the memo
+    ((path, s),) = src_step_all(deep_tree())
+    assert path == "SR-ChoiceL/" * 900 + "SR-Beta"
+    assert src_step_all(deep_tree()) == [(path, s)]
+    for _ in range(900):
+        s = s.left
+    assert s == Num(1)
 
 
 # --------------------------------------------------------------- evaluation

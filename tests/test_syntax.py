@@ -341,3 +341,20 @@ def test_key_cache_info():
     assert after.hits == before.hits + 1
     assert after.misses == before.misses + 1
     assert after.currsize >= before.currsize
+
+
+# ---------------------------------------------------------------- deep terms
+
+def test_deep_terms_hash_and_compare_without_recursion():
+    # hashing and equality walk a term from a stack, at any depth
+    def deep(n):
+        t = Num(0)
+        for i in range(n):
+            t = Choice(t, Num(i))
+        return t
+
+    a, b = deep(2000), deep(2000)
+    assert hash(a) == hash(b)
+    assert a == b and a != deep(1999)
+    assert TChoice(TNum(1), ("o",), TNum(2)) == TChoice(TNum(1), ("o",), TNum(2))
+    assert TChoice(TNum(1), ("o",), TNum(2)) != TChoice(TNum(1), ("b",), TNum(2))

@@ -21,8 +21,12 @@ from cochoice.target import (
     EffectAlignError, DisjointnessViolation, NonClosedResidual,
     BuiltinRejected, IllFormed, TypeMismatch,
 )
+from cochoice import target
 from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
+from cochoice.source import explore
+from cochoice.syntax import name_subst
+from oracle import reference_tgt_step
 
 O = Lit(("o",))
 B = Lit(("b",))
@@ -239,6 +243,59 @@ def test_delta_monotone():
 def test_parse_world():
     assert parse_world("o b+, o-") == frozenset(
         {(("o", "b"), "+"), (("o",), "-")})
+
+
+def test_memoized_steps_agree_with_reference(monkeypatch):
+    # every state within three ∅-steps of the first 60 acceptance programs,
+    # under ∅, under a world that names both polarities and without worlds
+    monkeypatch.setattr(target, "_STEPS", {})
+    world = parse_world("o+, o b-, b o+")
+    checked = 0
+    for i in range(60):
+        m = name_subst(compile_expr(gen_typed_source(i, 5 + i % 26), "a", ()),
+                       "a", ())
+        for t in explore(m, tgt_step_all, depth=3).found.values():
+            for delta in (frozenset(), world):
+                assert tgt_step_trace(t, delta) == reference_tgt_step(t, delta), i
+            assert tgt_step_trace(t, world, worlds=False) == \
+                reference_tgt_step(t, world, worlds=False), i
+            checked += 1
+    assert checked > 150
+
+
+def test_step_memo_is_not_poisoned():
+    m = tgt("((\\x:nat. x) 1 ||{o} (1 ||{o} 2))")
+    world = {(("o",), "+")}
+    first = tgt_step_trace(m, world)
+    assert [r for r, _ in first] == [
+        "TR-ChoiceL/TR-Beta", "TR-ChoiceR/TR-WorldL", "TR-ChoiceR/TR-WorldR",
+        "TR-WorldL"]
+    first.append(("TR-Bogus", m))
+    assert tgt_step_trace(m, world) == first[:4]
+    tgt_step_trace(m, world).clear()
+    assert tgt_step_trace(m, world) == first[:4] == reference_tgt_step(m, world)
+    assert tgt_step_trace(m, world, worlds=False) == \
+        reference_tgt_step(m, world, worlds=False)
+
+
+def deep_tree():
+    m = tgt("(\\x:nat. x) 1")
+    for i in range(900):
+        m = TChoice(m, tuple("ob"[int(d)] for d in bin(i)[2:]), TNum(i))
+    return m
+
+
+def test_deep_choice_tree_steps():
+    # one frame per level: a 900-deep choice tree steps at its leaf redex,
+    # and an equal tree built apart is answered from the memo
+    for worlds in (True, False):
+        first = tgt_step_trace(deep_tree(), frozenset(), worlds)
+        assert tgt_step_trace(deep_tree(), frozenset(), worlds) == first
+        ((path, s),) = first  # every choice has its own name
+        assert path == "TR-ChoiceL/" * 900 + "TR-Beta"
+        for _ in range(900):
+            s = s.left
+        assert s == TNum(1)
 
 
 # -------------------------------------------------------------- properties
