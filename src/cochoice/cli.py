@@ -45,6 +45,18 @@ def _parse(language: str, path: str):
         sys.exit(2)
 
 
+def _budget(text: str) -> int:
+    """A positive integer: a fuel, depth, size or count of programs."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _eval_report(res, trace_pairs=None, trace=False):
     if trace and trace_pairs is not None:
         for rule, term in trace_pairs:
@@ -65,7 +77,7 @@ def main(argv=None) -> int:
     p.add_argument("file")
     p = sub.add_parser("src-eval")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_budget, default=10000)
     p.add_argument("--trace", action="store_true")
     p = sub.add_parser("src-step")
     p.add_argument("file")
@@ -74,11 +86,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("tgt-eval")
     p.add_argument("file")
     p.add_argument("--delta", default="")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_budget, default=10000)
     p.add_argument("--trace", action="store_true")
     p = sub.add_parser("tgt-eval-nc")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_budget, default=10000)
     p = sub.add_parser("tgt-step")
     p.add_argument("file")
     p.add_argument("--delta", default="")
@@ -93,16 +105,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("bisim")
     p.add_argument("src")
     p.add_argument("tgt")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_budget, default=8)
     p = sub.add_parser("end2end")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=200)
+    p.add_argument("--fuel", type=_budget, default=200)
     p = sub.add_parser("suite")
-    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--n", type=_budget, default=300)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--fuel", type=int, default=200)
-    p.add_argument("--size", type=int, default=20)
+    p.add_argument("--depth", type=_budget, default=8)
+    p.add_argument("--fuel", type=_budget, default=200)
+    p.add_argument("--size", type=_budget, default=20)
     p = sub.add_parser("effect")
     p.add_argument("op", choices=["member", "includes", "disjoint", "quotient"])
     p.add_argument("args", nargs=2)

@@ -15,36 +15,13 @@ and a FuelExhausted report names its ``cause``:
   ``fuel`` states (subject reduction and non-coordination have none);
 - ``cycle``: an ``end_to_end`` evaluation has an infinite reduction path.
 
-Every check steps through one successor memo, ``_SUCC``, keyed by
-``canon_key``: the strong and weak bisimulations, subject reduction,
-non-coordination and both evaluations of ``end_to_end``.  Source and target
-keys differ, so one memo serves both calculi.  An entry is a pair
-``(successors, collapsed)``:
-
-- ``successors``: the one-step successors of a source term, or the
-  deduplicated coordinated successors of a target term under the empty
-  world, in the order ``tgt_step_all`` gives them;
-- ``collapsed``: those successors, in the same order, every derivation of
-  which uses ``TR-WorldL`` or ``TR-WorldR``; ``()`` for source terms and
-  for typed terms.
-
-A target entry comes from one ``tgt_step_trace`` call, whose rule paths
-name every rule of a derivation, so non-coordination reads its verdict from
-the entry that subject reduction stepped through.
-
-``_SUCC`` sits on top of the step memos of ``source`` and ``target``: a
-state it misses is stepped by ``src_step_all`` or ``tgt_step_trace``, whose
-recursion answers every subterm stepped before from its memo, so the state
-costs the spine its own step changed, and the successors it gets are the
-objects built before, their keys already in their slots.
-
-``_SUCC`` is an LRU table of at most ``_CACHE_SIZE`` = 512 entries, so it
-holds the working set of the programs checked last and not every state of
-the process.  Target states enter it as well as source states.  In one
-seed-0 pass of the typing workload, 4,096 entries save 1,710 of 12,302
-target traversals but raise peak RSS by about a fifth; below 512 the
-bisimulations repeat more work (256 entries: 22,718 traversals of the
-bisim workload against 20,737).
+Every check steps by the calculi's public relations: ``src_step_all`` for
+source terms, and for target terms ``tgt_step_all`` under the empty world
+and, for non-coordination, ``tgt_step_nc``; ``end_to_end`` evaluates with
+``src_eval`` and ``tgt_eval``.  Each calculus memoizes its steps per
+subterm (``source._STEPS``, ``target._STEPS``), so a state that a check
+meets again, or that an earlier check of the same program stepped, costs
+one lookup, and a new state costs the spine its own step changed.
 """
 
 from __future__ import annotations
@@ -55,13 +32,15 @@ from dataclasses import dataclass, replace
 from . import effects as eff
 from .compiler import adm, compile_expr, erase, pseudo_compile
 from .source import (
-    SrcTypeError, Stop, bfs_eval, explore, src_step_all, src_typecheck,
+    SrcTypeError, Stop, explore, src_eval, src_step_all, src_typecheck,
 )
 from .syntax import (
     App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, TgtExpr, Var,
     alpha_eq, canon_key, name_subst, size_of,
 )
-from .target import TargetEnv, effect_typecheck, subtype, tgt_step_trace
+from .target import (
+    TargetEnv, effect_typecheck, subtype, tgt_eval, tgt_step_all, tgt_step_nc,
+)
 
 OK = "OK"
 COUNTEREXAMPLE = "CounterExample"
@@ -94,41 +73,12 @@ def _verdict(search) -> CheckReport:
     return CheckReport(status, None, search.expanded, search.cause)
 
 
-_CACHE_SIZE = 1 << 9  # entries of _SUCC
-_SUCC: dict = {}  # canon_key -> (successors, collapsed), least recent first
-
-
-def _entry(t) -> tuple:
-    """The ``_SUCC`` entry of ``t``, memoized by key in an LRU of
-    ``_CACHE_SIZE`` entries: a hit moves to the end of ``_SUCC``, and a
-    miss past the bound evicts the first entry."""
-    k = canon_key(t)
-    hit = _SUCC.pop(k, None)
-    if hit is None:
-        hit = (_tgt_entry(t) if isinstance(t, TgtExpr)
-               else ([s for _, s in src_step_all(t)], ()))
-        if len(_SUCC) >= _CACHE_SIZE:
-            del _SUCC[next(iter(_SUCC))]
-    _SUCC[k] = hit
-    return hit
-
-
-def _tgt_entry(m) -> tuple:
-    """Successors of ``m`` under the empty world, deduplicated by key, and
-    those that only a collapse rule reaches."""
-    found = {}  # key -> (first successor, every derivation so far collapses)
-    for path, s in tgt_step_trace(m, frozenset()):
-        k = canon_key(s)
-        first, collapses = found.get(k, (s, True))
-        found[k] = (first, collapses and "TR-World" in path)
-    return ([s for s, _ in found.values()],
-            tuple(s for s, collapses in found.values() if collapses))
-
-
 def _succ(t) -> list:
     """One-step successors of a source term, or of a target term under the
-    empty world, from ``_SUCC``."""
-    return _entry(t)[0]
+    empty world."""
+    if isinstance(t, TgtExpr):
+        return tgt_step_all(t)
+    return [s for _, s in src_step_all(t)]
 
 
 def _bisim(start, depth, image, moves, side) -> CheckReport:
@@ -241,14 +191,10 @@ def check_subject_reduction(m: TgtExpr, depth: int = 8) -> CheckReport:
 
 def check_non_coordination(m: TgtExpr, depth: int = 8) -> CheckReport:
     """Typed terms never use the collapse rules under the empty world:
-    every coordinated ∅-step is also a non-coordinated step.
-
-    Only ``TR-WorldL`` and ``TR-WorldR`` read the world, so a derivation
-    that uses neither gives the same term under any world, and the
-    non-coordinated successors are exactly the terms that have such a
-    derivation.  Coordinated ⊆ non-coordinated, by key, therefore holds at
-    a state iff the ``collapsed`` part of its ``_SUCC`` entry is empty; the
-    witness ``(t, s)`` names its first collapsed successor ``s``.
+    every coordinated ∅-step of a reachable state is also a
+    non-coordinated step, compared by key.  The witness ``(t, s)`` names
+    the first successor ``s`` of ``t`` in ``tgt_step_all(t)`` that
+    ``tgt_step_nc(t)`` misses.
     """
     try:
         effect_typecheck(TargetEnv(), m)
@@ -256,9 +202,11 @@ def check_non_coordination(m: TgtExpr, depth: int = 8) -> CheckReport:
         raise PreconditionViolated(f"root term is untyped: {exc}") from exc
 
     def step(t):
-        succ, collapsed = _entry(t)
-        if collapsed:
-            raise Stop(CheckReport(COUNTEREXAMPLE, (t, collapsed[0])))
+        nc = {canon_key(s) for s in tgt_step_nc(t)}
+        succ = tgt_step_all(t)
+        for s in succ:
+            if canon_key(s) not in nc:
+                raise Stop(CheckReport(COUNTEREXAMPLE, (t, s)))
         return succ
 
     return _verdict(explore(m, step, depth))
@@ -340,18 +288,17 @@ def gen_typed_source(seed: int, size: int = 20) -> SrcExpr:
 def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     """Compile at the empty seed, run both sides to normal forms, and check
     that pseudo-compiled source normal forms and erased target normal forms
-    are the same set; also runs both bisimulation checks.  The evaluations
-    step through ``_SUCC``, so the bisimulations of the same program step
-    the same states once.  A compiled term that does not erase to the
-    pseudo compilation is a CounterExample ``("strong", reason)``."""
+    are the same set; also runs both bisimulation checks.  A compiled term
+    that does not erase to the pseudo compilation is a CounterExample
+    ``("strong", reason)``."""
     try:
         src_typecheck(e)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"source term is untyped: {exc}") from exc
     m = name_subst(compile_expr(e, "a", ()), "a", ())
 
-    src_res = bfs_eval(e, _succ, fuel)
-    tgt_res = bfs_eval(m, _succ, fuel)
+    src_res = src_eval(e, fuel)
+    tgt_res = tgt_eval(m, fuel=fuel)
     explored = src_res.explored + tgt_res.explored
     if src_res.exhausted or tgt_res.exhausted:
         return CheckReport(FUEL_EXHAUSTED, None, explored,

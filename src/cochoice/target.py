@@ -349,23 +349,21 @@ _STEP_CACHE_SIZE = 1 << 9  # entries of _STEPS
 _STEPS: dict = {}  # (term, world) -> (path, successor) pairs, least recent first
 
 
-def tgt_step_trace(m: TgtExpr, delta=frozenset(), worlds: bool = True) -> list:
+def tgt_step_trace(m: TgtExpr, delta=frozenset()) -> list:
     """All one-step successors of ``m`` under world ``delta``.
 
     Returns (path, term) pairs, one per derivation.  The path names the
     rules of the derivation from the root down to the redex, joined by
-    ``/``, such as ``TR-AppL/TR-ChoiceR/TR-Beta``.  With ``worlds=False``
-    the two collapse rules are disabled and ``delta`` is ignored, which is
-    the non-coordinated relation.
+    ``/``, such as ``TR-AppL/TR-ChoiceR/TR-Beta``, so a derivation that
+    collapses a choice names ``TR-WorldL`` or ``TR-WorldR``.
     """
-    return list(_step(m, _norm_world(delta) if worlds else None))
+    return list(_step(m, _norm_world(delta)))
 
 
 def _step(m, delta) -> tuple:
-    """``tgt_step_trace`` as a tuple, under world ``delta``, or under the
-    non-coordinated relation when ``delta`` is None.  Memoized per term and
-    world in ``_STEPS``, an LRU of ``_STEP_CACHE_SIZE`` entries, as
-    ``source._step`` is per term."""
+    """``tgt_step_trace`` as a tuple, under world ``delta``.  Memoized per
+    term and world in ``_STEPS``, an LRU of ``_STEP_CACHE_SIZE`` entries,
+    as ``source._step`` is per term."""
     if not isinstance(m, (TApp, TNameApp, TFix, TChoice)):
         return ()
     key = (m, delta)
@@ -405,16 +403,13 @@ def _step(m, delta) -> tuple:
                 out.append(("TR-Fix", subst_term(m.body, m.var, m)))
         else:  # a choice, whose branches step under the world it extends
             phi = normalize_name(m.name)
-            left = right = None
-            if delta is not None:
-                left, right = delta | {(phi, "+")}, delta | {(phi, "-")}
-            for path, l2 in _step(m.left, left):
+            for path, l2 in _step(m.left, delta | {(phi, "+")}):
                 out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
-            for path, r2 in _step(m.right, right):
+            for path, r2 in _step(m.right, delta | {(phi, "-")}):
                 out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
-            if delta is not None and (phi, "+") in delta:
+            if (phi, "+") in delta:
                 out.append(("TR-WorldL", m.left))
-            if delta is not None and (phi, "-") in delta:
+            if (phi, "-") in delta:
                 out.append(("TR-WorldR", m.right))
         out = tuple(out)
         if len(_STEPS) >= _STEP_CACHE_SIZE:
@@ -425,12 +420,23 @@ def _step(m, delta) -> tuple:
 
 def tgt_step_all(m: TgtExpr, delta=frozenset()) -> list:
     """Successor terms under the coordinated relation, deduplicated."""
-    return _dedup(t for _, t in tgt_step_trace(m, delta, worlds=True))
+    return _dedup(t for _, t in tgt_step_trace(m, delta))
 
 
 def tgt_step_nc(m: TgtExpr) -> list:
-    """Successor terms under the non-coordinated relation."""
-    return _dedup(t for _, t in tgt_step_trace(m, worlds=False))
+    """Successor terms under the non-coordinated relation, deduplicated:
+    the ∅-world derivations that use neither ``TR-WorldL`` nor
+    ``TR-WorldR``.
+
+    This is exact.  Only the World rules read the world, so a derivation
+    that uses neither gives the same term under every world, and dropping
+    them from the ∅-world derivations leaves the non-coordinated ones, in
+    the order the non-coordinated relation derives them.  Those are the
+    derivations ``tgt_step_all(m)`` gets, so the two share one entry of
+    ``_STEPS``.
+    """
+    return _dedup(t for path, t in tgt_step_trace(m)
+                  if "TR-World" not in path)
 
 
 def _dedup(terms):

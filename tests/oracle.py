@@ -18,7 +18,6 @@ from cochoice.source import Stop, explore, src_step_all
 from cochoice.source import SrcTypeError
 from cochoice.target import (
     BOTTOM, EffectPNF, NonClosedResidual, TargetEnv, effect_typecheck,
-    tgt_step_all, tgt_step_nc,
 )
 
 ATOMS = ("o", "b", "al", "be")
@@ -340,23 +339,24 @@ def reference_weak_bisim(e, depth=8, fuel=200, run=4, max_pairs=3000):
 
 
 # ---------------------------------------------------------------------------
-# non-coordination by two relations: the check that reading collapses off the
-# rule paths (harness.check_non_coordination) replaced
+# non-coordination by the two unmemoized relations, the reference that
+# harness.check_non_coordination must agree with
 
 
 def reference_non_coordination(m, depth=8):
     """Every coordinated ∅-step of every state reachable from ``m`` within
-    ``depth`` steps is also a non-coordinated step, compared by key; the
-    witness ``(t, s)`` is the first coordinated successor ``s`` of ``t``
-    that the non-coordinated relation misses."""
+    ``depth`` steps is also a non-coordinated step, compared by key, with
+    both relations stepped by ``reference_tgt_step``; the witness
+    ``(t, s)`` is the first coordinated successor ``s`` of ``t`` that the
+    non-coordinated relation misses."""
     try:
         effect_typecheck(TargetEnv(), m)
     except SrcTypeError as exc:
         raise PreconditionViolated(f"root term is untyped: {exc}") from exc
 
     def step(t):
-        coord = tgt_step_all(t, frozenset())
-        nc = {canon_key(s) for s in tgt_step_nc(t)}
+        coord = [s for _, s in reference_tgt_step(t)]
+        nc = {canon_key(s) for _, s in reference_tgt_step(t, worlds=False)}
         for s in coord:
             if canon_key(s) not in nc:
                 raise Stop(CheckReport(COUNTEREXAMPLE, (t, s)))

@@ -192,6 +192,25 @@ def test_suite_fuel_lines_name_their_cause(capsys):
                for parts in fuel)
 
 
+@pytest.mark.parametrize("argv", [
+    ["src-eval", "FILE", "--fuel", "-5"],
+    ["end2end", "FILE", "--fuel", "-1"],
+    ["tgt-eval", "TGT", "--fuel", "0"],
+    ["bisim", "FILE", "TGT", "--depth", "0"],
+    ["suite", "--n", "1", "--depth", "-3"],
+    ["suite", "--n", "-2"],
+    ["suite", "--n", "1", "--size", "0"],
+    ["suite", "--n", "two"],
+])
+def test_budgets_must_be_positive(tmp_path, capsys, argv):
+    # a fuel, depth, size or program count below one is a usage error, not
+    # a verdict
+    files = {"FILE": term_file(tmp_path, "(1 || 2)"),
+             "TGT": term_file(tmp_path, "(1 ||{o} 2)", "tgt.txt")}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and out == "" and "must be a positive integer" in err
+
+
 def test_effect_subcommands(capsys):
     code, out, _ = run(capsys, "effect", "member", "o b", "o (o+b)*")
     assert code == 0 and out.strip() == "true"

@@ -40,9 +40,8 @@ def closed_compile(e, alpha="a"):
 
 
 def empty_memos(monkeypatch):
-    """Swap the harness's successor memo and both step memos for empty
-    ones, so that no entry of an earlier run answers a step."""
-    monkeypatch.setattr(harness, "_SUCC", {})
+    """Swap both step memos for empty ones, so that no entry of an earlier
+    run answers a step."""
     monkeypatch.setattr(source, "_STEPS", {})
     monkeypatch.setattr(target, "_STEPS", {})
 
@@ -144,14 +143,12 @@ def test_non_coordination_negative_control():
     nc = {canon_key(s) for s in tgt_step_nc(m)}
     assert not coord <= nc or coord == nc == set()
     assert coord - nc  # genuine coordination happened
-    # the successor memo names the same steps as collapses
-    assert {canon_key(s) for s in harness._entry(m)[1]} == coord - nc
 
 
 @pytest.mark.parametrize("seed", [(), ("o",), ("b", "o")],
                          ids=["eps", "o", "b.o"])
 def test_non_coordination_agrees_with_reference(seed):
-    # reading collapses off the rule paths decides as the two relations do
+    # the check decides as the unmemoized reference relations do
     for i in range(300):
         m = name_subst(compile_expr(gen_typed_source(i, 5 + i % 26), "a", seed),
                        "a", ())
@@ -161,22 +158,23 @@ def test_non_coordination_agrees_with_reference(seed):
 
 # ------------------------------------------------------ negative controls
 #
-# Each case plants a fault into the harness namespace and checks that the
-# check it targets reports it on a program the check passes unmutated.  The
-# successor and step memos are swapped for empty ones: a memo warmed by the
-# unmutated run would answer with the correct successors and hide the fault.
+# Each case plants a fault into ``target.tgt_step_trace``, which every
+# target relation steps by, or into the harness namespace, and checks that
+# the check it targets reports it on a program the check passes unmutated.
+# The step memos are swapped for empty ones, so that the mutated run does
+# not start from entries of the unmutated one.
 
 def _drop_last_successor(real):
-    return lambda t, world: real(t, world)[:-1]
+    return lambda t, world=frozenset(): real(t, world)[:-1]
 
 
 def _add_self_loop(real):
-    return lambda t, world: real(t, world) + [("TR-Loop", t)]
+    return lambda t, world=frozenset(): real(t, world) + [("TR-Loop", t)]
 
 
 def _skip_a_step(real):
     # an extra move two steps ahead: it reaches no new normal form
-    def mutant(t, world):
+    def mutant(t, world=frozenset()):
         out = real(t, world)
         return out + [("TR-Skip", s2) for _, s in out[:1]
                       for _, s2 in real(s, world)[:1]]
@@ -184,12 +182,13 @@ def _skip_a_step(real):
 
 
 def _step_to_untyped(real):
-    return lambda t, world: [("TR-Beta", tgt("1 2"))] if real(t, world) else []
+    return lambda t, world=frozenset(): \
+        [("TR-Beta", tgt("1 2"))] if real(t, world) else []
 
 
 def _collapse_root_choice(real):
     # TR-WorldL at a root choice, as if its name were in the empty world
-    def mutant(t, world):
+    def mutant(t, world=frozenset()):
         out = real(t, world)
         return out + [("TR-WorldL", t.left)] if isinstance(t, TChoice) else out
     return mutant
@@ -226,25 +225,26 @@ DEMO = "(\\x:nat. (x || 7)) (3 || 5)"
 
 
 @pytest.mark.parametrize("fault, mutate, check, text, status, cause", [
-    ("tgt_step_trace", _drop_last_successor,
+    ((target, "tgt_step_trace"), _drop_last_successor,
      lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_trace", _add_self_loop,
+    ((target, "tgt_step_trace"), _add_self_loop,
      lambda e: check_strong_bisim(pseudo_compile(e), closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_trace", _step_to_untyped,
+    ((target, "tgt_step_trace"), _step_to_untyped,
      lambda e: check_subject_reduction(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_trace", _collapse_root_choice,
+    ((target, "tgt_step_trace"), _collapse_root_choice,
      lambda e: check_non_coordination(closed_compile(e)),
      DEMO, COUNTEREXAMPLE, None),
-    ("erase", _renumber, end_to_end, DEMO, COUNTEREXAMPLE, None),
-    ("tgt_step_trace", _skip_a_step, end_to_end, DEMO, COUNTEREXAMPLE, None),
-    ("pseudo_compile", _swap_choice, check_weak_bisim_pseudo,
+    ((harness, "erase"), _renumber, end_to_end, DEMO, COUNTEREXAMPLE, None),
+    ((target, "tgt_step_trace"), _skip_a_step, end_to_end,
+     DEMO, COUNTEREXAMPLE, None),
+    ((harness, "pseudo_compile"), _swap_choice, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
-    ("pseudo_compile", _drop_dummy, check_weak_bisim_pseudo,
+    ((harness, "pseudo_compile"), _drop_dummy, check_weak_bisim_pseudo,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
-    ("pseudo_compile", _drop_dummy, end_to_end,
+    ((harness, "pseudo_compile"), _drop_dummy, end_to_end,
      "(\\x:nat. x) (1 || 2)", COUNTEREXAMPLE, None),
 ], ids=["strong_bisim", "strong_bisim_extra_step", "subject_reduction",
         "non_coordination", "end_to_end", "end_to_end_strong", "weak_bisim",
@@ -253,7 +253,8 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                           cause):
     e = src(text)
     assert check(e).status == OK
-    monkeypatch.setattr(harness, fault, mutate(getattr(harness, fault)))
+    module, name = fault
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     empty_memos(monkeypatch)
     rep = check(e)
     assert (rep.status, rep.cause) == (status, cause)
@@ -275,25 +276,71 @@ def test_negative_control(monkeypatch, fault, mutate, check, text, status,
                                          "source term")
 
 
+class CountingMemo(dict):
+    """A step memo that counts its lookups and the ones that miss."""
+
+    lookups = misses = 0
+
+    def pop(self, key, default=None):
+        self.lookups += 1
+        self.misses += key not in self
+        return super().pop(key, default)
+
+
 def test_each_state_is_stepped_once(monkeypatch):
-    # subject reduction steps each state once; non-coordination then reads
-    # every verdict from the successor memo and steps nothing
-    calls, real = [], harness.tgt_step_trace
-
-    def counted(t, world):
-        calls.append(t)
-        return real(t, world)
-
-    monkeypatch.setattr(harness, "tgt_step_trace", counted)
+    # subject reduction steps each state; non-coordination after it asks
+    # the target step memo for every state's coordinated and
+    # non-coordinated steps, and every lookup hits: it builds no successor
     empty_memos(monkeypatch)
+    memo = CountingMemo()
+    monkeypatch.setattr(target, "_STEPS", memo)
     for text in [DEMO, "((1 || 2) || (3 || 4))"]:
         m = closed_compile(src(text))
-        calls.clear()
-        sr = check_subject_reduction(m)
-        assert 0 < len(calls) <= sr.explored < harness._CACHE_SIZE
-        calls.clear()
-        assert check_non_coordination(m).status == OK
-        assert calls == []
+        memo.lookups = memo.misses = 0
+        check_subject_reduction(m)
+        assert memo.misses > 0
+        memo.lookups = memo.misses = 0
+        nc = check_non_coordination(m)
+        assert nc.status == OK
+        assert 0 < memo.lookups <= 2 * nc.explored and memo.misses == 0
+    assert len(memo) < target._STEP_CACHE_SIZE  # nothing was evicted
+
+
+def test_checks_step_by_the_public_relations(monkeypatch):
+    # The checks step only inside calls of the calculi's relations by their
+    # public names, where a tracer that wraps those names (bench/tracer.py)
+    # sees every step they take.
+    calls = dict.fromkeys(["src_step_all", "src_eval", "tgt_step_all",
+                           "tgt_step_nc", "tgt_eval"], 0)
+    inside, outside = [0], []  # open public calls; steps taken outside them
+    for name in calls:
+        real = getattr(harness, name)
+        assert real is getattr(source if name.startswith("src") else target,
+                               name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            inside[0] += 1
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        monkeypatch.setattr(harness, name, counted)
+    for mod in (source, target):
+        def step(*args, _real=mod._step):
+            if not inside[0]:
+                outside.append(args[0])
+            return _real(*args)
+        monkeypatch.setattr(mod, "_step", step)
+    e = src(DEMO)
+    m = closed_compile(e)
+    check_subject_reduction(m)
+    check_non_coordination(m)
+    check_strong_bisim(pseudo_compile(e), m)
+    check_weak_bisim_pseudo(e)
+    end_to_end(e)
+    assert all(calls.values()), calls
+    assert outside == []
 
 
 def test_suite_reports_a_faulty_pseudo_compilation(monkeypatch, capsys):
@@ -392,27 +439,17 @@ def test_every_cache_is_bounded(monkeypatch):
     assert "effects.deriv" in lru and "compiler.erase" in lru
     assert [name for name, size in lru.items() if size is None] == []
 
-    # _SUCC and the two step memos are LRU tables: run checks over more
-    # distinct states than their bounds, with the bounds made small, and
-    # none of them ever holds more.
-    bound, default = 32, harness._CACHE_SIZE
-    step_default = source._STEP_CACHE_SIZE
-    assert (default, step_default, target._STEP_CACHE_SIZE) == (512, 512, 512)
+    # The two step memos are LRU tables: run checks over more distinct
+    # terms than their bounds, with the bounds made small, and neither of
+    # them ever holds more.
+    bound, default = 32, source._STEP_CACHE_SIZE
+    assert (default, target._STEP_CACHE_SIZE) == (512, 512)
     memos = {source: set(), target: set()}  # module -> its memo keys met
-    monkeypatch.setattr(harness, "_CACHE_SIZE", bound)
     for mod in memos:
         monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", bound)
     empty_memos(monkeypatch)
     sizes = {name: len(t) for name, t in _tables().items()}
-    seen, real = set(), harness._succ
     real_steps = {mod: mod._step for mod in memos}
-
-    def succ(t):
-        seen.add(canon_key(t))
-        out = real(t)
-        assert len(harness._SUCC) <= bound
-        assert next(reversed(harness._SUCC)) == canon_key(t)  # last used
-        return out
 
     def bounded_step(mod):
         def step(*args):
@@ -423,25 +460,20 @@ def test_every_cache_is_bounded(monkeypatch):
             return out
         return step
 
-    monkeypatch.setattr(harness, "_succ", succ)
     for mod in memos:
         monkeypatch.setattr(mod, "_step", bounded_step(mod))
     programs = [gen_typed_source(i, 5 + i % 26) for i in range(40, 60)]
     bounded = [end_to_end(e) for e in programs]
-    assert len(seen) > 4 * bound
     assert all(len(keys) > 4 * bound for keys in memos.values())
-    assert len(harness._SUCC) == len(source._STEPS) == len(target._STEPS) == bound
+    assert len(source._STEPS) == len(target._STEPS) == bound
 
     grown = {name for name, t in _tables().items() if len(t) > sizes[name]}
-    assert grown <= INTERN_TABLES | {"harness._SUCC", "source._STEPS",
-                                     "target._STEPS"}
+    assert grown <= INTERN_TABLES | {"source._STEPS", "target._STEPS"}
 
     # the bounds change no verdict
-    monkeypatch.setattr(harness, "_succ", real)
-    monkeypatch.setattr(harness, "_CACHE_SIZE", default)
     for mod in memos:
         monkeypatch.setattr(mod, "_step", real_steps[mod])
-        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", step_default)
+        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", default)
     empty_memos(monkeypatch)
     assert [end_to_end(e) for e in programs] == bounded
 
@@ -452,8 +484,9 @@ def test_each_subterm_is_stepped_once(monkeypatch):
     # successor recurses only along the spine that its step changed.  The
     # recursive calls of the two step functions, over the checks of the
     # bisim benchmark workload on acceptance programs 0-39 from empty memos,
-    # repeat exactly.  Without the memos the same run makes 14,453 and
-    # 10,374 of them, for the same 1,362 and 1,034 outer calls.
+    # repeat exactly.  A state that a check meets again is an outer call
+    # answered from the memo.  Without the memos the same run makes 30,321
+    # and 13,849 recursive calls, for the same 3,362 and 1,555 outer calls.
     empty_memos(monkeypatch)
     counts = {source: [0, 0, 0], target: [0, 0, 0]}  # outer, inner, depth
 
@@ -477,5 +510,5 @@ def test_each_subterm_is_stepped_once(monkeypatch):
         check_strong_bisim(pseudo_compile(e), closed_compile(e, "al"), depth=8)
         check_weak_bisim_pseudo(e, depth=8, fuel=200)
         end_to_end(e, fuel=200)
-    assert counts[source][:2] == [1362, 3874]
-    assert counts[target][:2] == [1034, 2821]
+    assert counts[source][:2] == [3362, 3878]
+    assert counts[target][:2] == [1555, 2821]

@@ -245,9 +245,18 @@ def test_parse_world():
         {(("o", "b"), "+"), (("o",), "-")})
 
 
+def dedup(pairs):
+    """The terms of ``(path, term)`` pairs, first of each key, in order."""
+    first = {}
+    for _, t in pairs:
+        first.setdefault(canon_key(t), t)
+    return list(first.values())
+
+
 def test_memoized_steps_agree_with_reference(monkeypatch):
     # every state within three ∅-steps of the first 60 acceptance programs,
-    # under ∅, under a world that names both polarities and without worlds
+    # under ∅ and under a world that names both polarities; the
+    # non-coordinated steps are the reference's without worlds, deduplicated
     monkeypatch.setattr(target, "_STEPS", {})
     world = parse_world("o+, o b-, b o+")
     checked = 0
@@ -257,8 +266,8 @@ def test_memoized_steps_agree_with_reference(monkeypatch):
         for t in explore(m, tgt_step_all, depth=3).found.values():
             for delta in (frozenset(), world):
                 assert tgt_step_trace(t, delta) == reference_tgt_step(t, delta), i
-            assert tgt_step_trace(t, world, worlds=False) == \
-                reference_tgt_step(t, world, worlds=False), i
+            assert tgt_step_nc(t) == \
+                dedup(reference_tgt_step(t, worlds=False)), i
             checked += 1
     assert checked > 150
 
@@ -274,8 +283,7 @@ def test_step_memo_is_not_poisoned():
     assert tgt_step_trace(m, world) == first[:4]
     tgt_step_trace(m, world).clear()
     assert tgt_step_trace(m, world) == first[:4] == reference_tgt_step(m, world)
-    assert tgt_step_trace(m, world, worlds=False) == \
-        reference_tgt_step(m, world, worlds=False)
+    assert tgt_step_nc(m) == dedup(reference_tgt_step(m, worlds=False))
 
 
 def deep_tree():
@@ -288,14 +296,13 @@ def deep_tree():
 def test_deep_choice_tree_steps():
     # one frame per level: a 900-deep choice tree steps at its leaf redex,
     # and an equal tree built apart is answered from the memo
-    for worlds in (True, False):
-        first = tgt_step_trace(deep_tree(), frozenset(), worlds)
-        assert tgt_step_trace(deep_tree(), frozenset(), worlds) == first
-        ((path, s),) = first  # every choice has its own name
-        assert path == "TR-ChoiceL/" * 900 + "TR-Beta"
-        for _ in range(900):
-            s = s.left
-        assert s == TNum(1)
+    first = tgt_step_trace(deep_tree())
+    assert tgt_step_trace(deep_tree()) == first
+    ((path, s),) = first  # every choice has its own name
+    assert path == "TR-ChoiceL/" * 900 + "TR-Beta"
+    for _ in range(900):
+        s = s.left
+    assert s == TNum(1)
 
 
 # -------------------------------------------------------------- properties
