@@ -17,6 +17,7 @@ from .harness import (
     check_strong_bisim, check_subject_reduction, check_weak_bisim_pseudo,
     end_to_end, gen_typed_source,
 )
+from .names import is_name_var, name_vars
 from .parser import ParseError, parse, parse_world
 from .printer import format_any, format_effect, format_type
 from .source import SrcTypeError, src_eval, src_step_all, src_typecheck
@@ -181,8 +182,12 @@ def _dispatch(ns) -> int:
 
     if ns.cmd == "compile":
         e = _parse("src", ns.file)
-        seed = parse("name", ns.seed)
-        print(format_any(compile_expr(e, ns.seed_var, seed)))
+        alpha, seed = parse("name", ns.seed_var), parse("name", ns.seed)
+        if len(alpha) != 1 or not is_name_var(alpha[0]) or name_vars(seed):
+            print("usage error: --seed-var must be one name variable and "
+                  "--seed a closed name", file=sys.stderr)
+            return 2
+        print(format_any(compile_expr(e, alpha[0], seed)))
         return 0
 
     if ns.cmd == "erase":

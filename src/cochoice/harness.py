@@ -104,7 +104,8 @@ def _bisim(start, depth, image, moves, side) -> CheckReport:
 # ---------------------------------------------------------------------------
 # strong bisimulation: source term vs. typed target term erasing to it
 
-def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> CheckReport:
+def check_strong_bisim(e: SrcExpr, m: TgtExpr,
+                       depth: int | None = 8) -> CheckReport:
     """Mutual single-step simulation between ``e`` and ``m`` (empty world).
 
     ``m`` must effect-typecheck in the empty environment and erase to ``e``.
@@ -126,7 +127,7 @@ def check_strong_bisim(e: SrcExpr, m: TgtExpr, depth: int = 8) -> CheckReport:
 # ---------------------------------------------------------------------------
 # weak bisimulation: source term vs. its pseudo compilation
 
-def check_weak_bisim_pseudo(e: SrcExpr, depth: int = 8,
+def check_weak_bisim_pseudo(e: SrcExpr, depth: int | None = 8,
                             fuel: int = 200) -> CheckReport:
     """Certify that ``e`` is weakly bisimilar to ``pseudo_compile(e)``, with
     ``adm`` steps as τ, up to ``depth`` source steps (with the strong check on
@@ -288,7 +289,14 @@ def gen_typed_source(seed: int, size: int = 20) -> SrcExpr:
 def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     """Compile at the empty seed, run both sides to normal forms, and check
     that pseudo-compiled source normal forms and erased target normal forms
-    are the same set; also runs both bisimulation checks.  A compiled term
+    are the same set; then run the strong and the weak bisimulation check
+    with no depth bound, within their pair budget and closure ``fuel``.
+
+    OK means that both evaluations closed within ``fuel`` states, their
+    normal forms agree and both bisimulation checks closed with OK.  A
+    sub-check that does not decide makes ``end_to_end`` FuelExhausted with
+    the sub-check's cause and the witness ``"strong"`` or ``"weak"``, and a
+    sub-check's CounterExample is ``(side, witness)``.  A compiled term
     that does not erase to the pseudo compilation is a CounterExample
     ``("strong", reason)``."""
     try:
@@ -312,14 +320,15 @@ def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
         return CheckReport(COUNTEREXAMPLE, (only_src, only_tgt), explored)
 
     try:
-        strong = check_strong_bisim(pseudo_compile(e), m)
+        side, sub = "strong", check_strong_bisim(pseudo_compile(e), m, None)
     except PreconditionViolated as exc:  # m is typed: erase(m) is not the image
         return CheckReport(COUNTEREXAMPLE, ("strong", str(exc)), explored)
-    explored += strong.explored
-    if strong.status == COUNTEREXAMPLE:
-        return CheckReport(COUNTEREXAMPLE, ("strong", strong.witness), explored)
-    weak = check_weak_bisim_pseudo(e)
-    explored += weak.explored
-    if weak.status == COUNTEREXAMPLE:
-        return CheckReport(COUNTEREXAMPLE, ("weak", weak.witness), explored)
+    explored += sub.explored
+    if sub.status == OK:
+        side, sub = "weak", check_weak_bisim_pseudo(e, None, fuel)
+        explored += sub.explored
+    if sub.status == COUNTEREXAMPLE:
+        return CheckReport(COUNTEREXAMPLE, (side, sub.witness), explored)
+    if sub.status == FUEL_EXHAUSTED:
+        return CheckReport(FUEL_EXHAUSTED, side, explored, sub.cause)
     return CheckReport(OK, None, explored)

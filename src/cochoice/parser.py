@@ -42,6 +42,7 @@ MAX_NESTING = 150  # levels; a level costs the parser up to five Python frames
 _SYMBOLS = ["/\\", "||", "-{", "->", "\\", "(", ")", "{", "}", ":", ".",
             "@", "+", "*", ","]
 _KEYWORDS = {"fix", "all", "nat", "add", "o", "b", "eps"}
+_DIGITS = "0123456789"  # numerals are ASCII; str.isdigit also accepts '²'
 
 
 @dataclass
@@ -77,9 +78,9 @@ def _tokenize(text: str):
             i += len(hit)
             col += len(hit)
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("num", text[i:j], i, line, col))
             col += j - i
@@ -154,6 +155,14 @@ class _Parser:
         if t.kind != "ident":
             self.fail(f"expected {what}")
         return self.next().text
+
+    def numeral(self) -> int:
+        t = self.next()
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"numeral of {len(t.text)} digits is too long",
+                             t.offset, t.line, t.column) from None
 
     def done(self):
         if self.peek().kind != "eof":
@@ -301,7 +310,7 @@ class _Parser:
     def src_atom(self):
         t = self.peek()
         if t.kind == "num":
-            return Num(int(self.next().text))
+            return Num(self.numeral())
         if self.eat("add"):
             return ADD
         if t.kind == "ident":
@@ -355,7 +364,7 @@ class _Parser:
     def tgt_atom(self):
         t = self.peek()
         if t.kind == "num":
-            return TNum(int(self.next().text))
+            return TNum(self.numeral())
         if self.eat("add"):
             return TADD
         if t.kind == "ident":

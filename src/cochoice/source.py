@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
+from .printer import format_type
 from .syntax import (
     Add, App, Arrow, Choice, Fix, Lam, NAT, Num, SrcExpr, SrcType, Var,
     canon_key, is_src_value, subst_term,
@@ -62,21 +63,25 @@ def _infer(e, env):
             raise FixBodyNotLambda("fixpoint body must be a lambda")
         got = _infer(e.body, {**env, e.var: e.ann})
         if got != e.ann:
-            raise TypeMismatch(f"fixpoint body has type {got}, annotated {e.ann}")
+            raise TypeMismatch(f"fixpoint body has type {format_type(got)}, "
+                               f"annotated {format_type(e.ann)}")
         return e.ann
     if isinstance(e, App):
         ft = _infer(e.fn, env)
         if not isinstance(ft, Arrow):
-            raise NonFunctionApplication(f"applied a non-function of type {ft}")
+            raise NonFunctionApplication("applied a non-function of type "
+                                         + format_type(ft))
         at = _infer(e.arg, env)
         if at != ft.arg:
-            raise TypeMismatch(f"argument has type {at}, expected {ft.arg}")
+            raise TypeMismatch(f"argument has type {format_type(at)}, "
+                               f"expected {format_type(ft.arg)}")
         return ft.res
     if isinstance(e, Choice):
         lt = _infer(e.left, env)
         rt = _infer(e.right, env)
         if lt != rt:
-            raise TypeMismatch(f"choice branches have types {lt} and {rt}")
+            raise TypeMismatch(f"choice branches have types {format_type(lt)} "
+                               f"and {format_type(rt)}")
         return lt
     raise TypeError(f"not a source expression: {e!r}")
 

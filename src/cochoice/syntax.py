@@ -2,8 +2,10 @@
 
 Source terms are the plain-choice calculus; target terms add name
 abstraction/application and named choices.  All nodes are immutable,
-slotted and hash once (see ``node``).  Substitution is capture-avoiding for
-both term and name binders and shares every subterm it leaves unchanged.
+slotted and hash once (see ``node``).  One substitution of terms serves
+both calculi, and one substitution of names serves target types and terms.
+Both are capture-avoiding for term and name binders, rebuild every other
+node from its fields, and share every subterm they leave unchanged.
 
 ``canon_key`` gives every name, effect, type and term an int key, equal
 exactly for entities that agree up to consistent renaming of bound term and
@@ -231,62 +233,41 @@ def subst_term(body, x: str, repl):
     if isinstance(body, SrcExpr):
         if not isinstance(repl, SrcExpr):
             raise TypeError("replacement is not a source expression")
-        return _subst_src(body, x, repl)
-    if isinstance(body, TgtExpr):
+    elif isinstance(body, TgtExpr):
         if not isinstance(repl, TgtExpr):
             raise TypeError("replacement is not a target expression")
-        return _subst_tgt(body, x, repl)
-    raise TypeError(f"not an expression: {body!r}")
+    else:
+        raise TypeError(f"not an expression: {body!r}")
+    return _subst(body, x, repl)
 
 
 # Substitution returns a subterm without the variable as it is, so the
-# result shares it, together with its cached hash and key.
+# result shares it, together with its cached hash and key.  The binders
+# rename their variable when the replacement would capture it; every other
+# node is rebuilt with its own class from its substituted fields.
 
-def _subst_src(e, x, r):
+def _subst(e, x, r):
     if x not in free_vars(e):
         return e
-    if isinstance(e, Var):
+    if isinstance(e, (Var, TVar)):
         return r
-    if isinstance(e, App):
-        return App(_subst_src(e.fn, x, r), _subst_src(e.arg, x, r))
-    if isinstance(e, Choice):
-        return Choice(_subst_src(e.left, x, r), _subst_src(e.right, x, r))
-    if isinstance(e, (Lam, Fix)):
-        cls = type(e)
-        if e.var in free_vars(r):
-            y = fresh(e.var, free_vars(r) | free_vars(e.body) | {x})
-            body = _subst_src(e.body, e.var, Var(y))
-            return cls(y, e.ann, _subst_src(body, x, r))
-        return cls(e.var, e.ann, _subst_src(e.body, x, r))
-    raise TypeError(f"not a source expression: {e!r}")
-
-
-def _subst_tgt(m, x, r):
-    if x not in free_vars(m):
-        return m
-    if isinstance(m, TVar):
-        return r
-    if isinstance(m, TApp):
-        return TApp(_subst_tgt(m.fn, x, r), _subst_tgt(m.arg, x, r))
-    if isinstance(m, TNameApp):
-        return TNameApp(_subst_tgt(m.fn, x, r), m.name)
-    if isinstance(m, TChoice):
-        return TChoice(_subst_tgt(m.left, x, r), m.name, _subst_tgt(m.right, x, r))
-    if isinstance(m, (TLam, TFix)):
-        cls = type(m)
-        if m.var in free_vars(r):
-            y = fresh(m.var, free_vars(r) | free_vars(m.body) | {x})
-            body = _subst_tgt(m.body, m.var, TVar(y))
-            return cls(y, m.ann, _subst_tgt(body, x, r))
-        return cls(m.var, m.ann, _subst_tgt(m.body, x, r))
-    if isinstance(m, TNameAbs):
+    if isinstance(e, (Lam, Fix, TLam, TFix)):
+        var, body = e.var, e.body
+        if var in free_vars(r):
+            var = fresh(var, free_vars(r) | free_vars(body) | {x})
+            rename = TVar if isinstance(e, TgtExpr) else Var
+            body = _subst(body, e.var, rename(var))
+        return type(e)(var, e.ann, _subst(body, x, r))
+    if isinstance(e, TNameAbs):
         # the replacement's free name variables must not be captured
-        if m.var in free_name_vars(r):
-            g = fresh(m.var, free_name_vars(r) | free_name_vars(m.body))
-            body = name_subst(m.body, m.var, (g,))
-            return TNameAbs(g, _subst_tgt(body, x, r))
-        return TNameAbs(m.var, _subst_tgt(m.body, x, r))
-    raise TypeError(f"not a target expression: {m!r}")
+        var, body = e.var, e.body
+        if var in free_name_vars(r):
+            var = fresh(var, free_name_vars(r) | free_name_vars(body))
+            body = name_subst(body, e.var, (var,))
+        return TNameAbs(var, _subst(body, x, r))
+    fields = [getattr(e, f) for f in e.__match_args__]
+    return type(e)(*[_subst(v, x, r) if isinstance(v, Node) else v
+                     for v in fields])
 
 
 def name_subst(entity, alpha: str, phi):
@@ -295,66 +276,27 @@ def name_subst(entity, alpha: str, phi):
     Works on names, effects, target types, and target expressions;
     capture-avoiding with respect to Forall/name-abstraction binders.
     """
-    phi = normalize_name(phi)
-    if isinstance(entity, tuple):
-        return word_subst(entity, alpha, phi)
-    if isinstance(entity, eff.Effect):
-        return eff.effect_subst(entity, alpha, phi)
-    if isinstance(entity, TgtType):
-        return _nsubst_type(entity, alpha, phi)
-    if isinstance(entity, TgtExpr):
-        return _nsubst_expr(entity, alpha, phi)
-    raise TypeError(f"cannot name-substitute in: {entity!r}")
+    if not isinstance(entity, (tuple, eff.Effect, TgtType, TgtExpr)):
+        raise TypeError(f"cannot name-substitute in: {entity!r}")
+    return _nsubst(entity, alpha, normalize_name(phi))
 
 
-def _nsubst_type(t, alpha, phi):
-    if alpha not in free_name_vars(t):
-        return t
-    if isinstance(t, TArrow):
-        return TArrow(
-            _nsubst_type(t.arg, alpha, phi),
-            eff.effect_subst(t.latent, alpha, phi),
-            _nsubst_type(t.res, alpha, phi),
-        )
-    if isinstance(t, TForall):
-        if t.var in name_vars(phi):
-            g = fresh(t.var, set(name_vars(phi)) | set(free_name_vars(t)) | {alpha})
-            t = TForall(
-                g,
-                eff.effect_subst(t.latent, t.var, (g,)),
-                _nsubst_type(t.body, t.var, (g,)),
-            )
-        return TForall(
-            t.var,
-            eff.effect_subst(t.latent, alpha, phi),
-            _nsubst_type(t.body, alpha, phi),
-        )
-    raise TypeError(f"not a target type: {t!r}")
-
-
-def _nsubst_expr(m, alpha, phi):
-    if alpha not in free_name_vars(m):
-        return m
-    if isinstance(m, TApp):
-        return TApp(_nsubst_expr(m.fn, alpha, phi), _nsubst_expr(m.arg, alpha, phi))
-    if isinstance(m, TLam):
-        return TLam(m.var, _nsubst_type(m.ann, alpha, phi), _nsubst_expr(m.body, alpha, phi))
-    if isinstance(m, TFix):
-        return TFix(m.var, _nsubst_type(m.ann, alpha, phi), _nsubst_expr(m.body, alpha, phi))
-    if isinstance(m, TNameApp):
-        return TNameApp(_nsubst_expr(m.fn, alpha, phi), word_subst(m.name, alpha, phi))
-    if isinstance(m, TChoice):
-        return TChoice(
-            _nsubst_expr(m.left, alpha, phi),
-            word_subst(m.name, alpha, phi),
-            _nsubst_expr(m.right, alpha, phi),
-        )
-    if isinstance(m, TNameAbs):
-        if m.var in name_vars(phi):
-            g = fresh(m.var, set(name_vars(phi)) | set(free_name_vars(m)) | {alpha})
-            m = TNameAbs(g, _nsubst_expr(m.body, m.var, (g,)))
-        return TNameAbs(m.var, _nsubst_expr(m.body, alpha, phi))
-    raise TypeError(f"not a target expression: {m!r}")
+def _nsubst(x, alpha, phi):
+    """``name_subst`` with ``phi`` normalized, also on a string field (a
+    binder or variable name), which it keeps.  A binder whose variable
+    occurs in ``phi`` first renames it to a fresh one; then every field is
+    substituted in ``__match_args__`` order."""
+    if isinstance(x, tuple):
+        return word_subst(x, alpha, phi)
+    if isinstance(x, eff.Effect):
+        return eff.effect_subst(x, alpha, phi)
+    if isinstance(x, str) or alpha not in free_name_vars(x):
+        return x
+    fields = [getattr(x, f) for f in x.__match_args__]
+    if isinstance(x, (TForall, TNameAbs)) and x.var in name_vars(phi):
+        g = fresh(x.var, name_vars(phi) | free_name_vars(x) | {alpha})
+        fields = [g] + [_nsubst(v, x.var, (g,)) for v in fields[1:]]
+    return type(x)(*[_nsubst(v, alpha, phi) for v in fields])
 
 
 # ---------------------------------------------------------------------------

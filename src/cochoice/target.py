@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import effects as eff
-from .names import is_name_var, name_vars, normalize_name
+from .names import format_name, is_name_var, name_vars, normalize_name
+from .printer import format_effect, format_type
 from .source import (
     FixBodyNotLambda, NonFunctionApplication, SrcTypeError, TypeMismatch,
     UnboundVariable, bfs_eval,
@@ -47,8 +48,9 @@ class DisjointnessViolation(TgtTypeError):
         self.first = first
         self.second = second
         self.witness = witness
-        super().__init__(f"overlapping effects {first} and {second}, "
-                         f"shared word {witness}")
+        super().__init__(f"overlapping effects {format_effect(first)} and "
+                         f"{format_effect(second)}, shared word "
+                         f"{format_name(witness)}")
 
 
 class NonClosedResidual(TgtTypeError):
@@ -151,7 +153,8 @@ def type_join(t1: TgtType, t2: TgtType) -> TgtType:
                                name_subst(t2.latent, t2.var, (g,))),
                        type_join(name_subst(t1.body, t1.var, (g,)),
                                  name_subst(t2.body, t2.var, (g,))))
-    raise TypeMismatch(f"no common supertype of {t1} and {t2}")
+    raise TypeMismatch(f"no common supertype of {format_type(t1)} and "
+                       f"{format_type(t2)}")
 
 
 def type_meet(t1: TgtType, t2: TgtType) -> TgtType:
@@ -164,7 +167,8 @@ def type_meet(t1: TgtType, t2: TgtType) -> TgtType:
         return t1
     if subtype(t2, t1):
         return t2
-    raise TypeMismatch(f"no common subtype of {t1} and {t2}")
+    raise TypeMismatch(f"no common subtype of {format_type(t1)} and "
+                       f"{format_type(t2)}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def effect_pnf(e: eff.Effect) -> EffectPNF:
         e = eff.deriv(e, a)
     if not eff.is_closed(e):
         raise NonClosedResidual(
-            f"name variables left in effect residue: {e}")
+            f"name variables left in effect residue: {format_effect(e)}")
     return mk_pnf(tuple(prefix), e)
 
 
@@ -278,7 +282,7 @@ def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
         raise BuiltinRejected("the demo builtin has no effect typing")
     if isinstance(m, TLam):
         if not wf_check(env, m.ann):
-            raise IllFormed(f"ill-formed annotation: {m.ann}")
+            raise IllFormed(f"ill-formed annotation: {format_type(m.ann)}")
         bt, bp = effect_typecheck(env.push_term(m.var, m.ann), m.body)
         return TArrow(m.ann, bp.denote(), bt), BOTTOM
     if isinstance(m, TNameAbs):
@@ -293,18 +297,21 @@ def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
         if not isinstance(m.body, TLam):
             raise FixBodyNotLambda("fixpoint body must be a lambda")
         if not wf_check(env, m.ann):
-            raise IllFormed(f"ill-formed annotation: {m.ann}")
+            raise IllFormed(f"ill-formed annotation: {format_type(m.ann)}")
         bt, _ = effect_typecheck(env.push_term(m.var, m.ann), m.body)
         if not subtype(bt, m.ann):
-            raise TypeMismatch(f"fixpoint body has type {bt}, annotated {m.ann}")
+            raise TypeMismatch(f"fixpoint body has type {format_type(bt)}, "
+                               f"annotated {format_type(m.ann)}")
         return m.ann, BOTTOM
     if isinstance(m, TApp):
         ft, fp = effect_typecheck(env, m.fn)
         if not isinstance(ft, TArrow):
-            raise NonFunctionApplication(f"applied a non-function of type {ft}")
+            raise NonFunctionApplication("applied a non-function of type "
+                                         + format_type(ft))
         at, ap = effect_typecheck(env, m.arg)
         if not subtype(at, ft.arg):
-            raise TypeMismatch(f"argument has type {at}, expected {ft.arg}")
+            raise TypeMismatch(f"argument has type {format_type(at)}, "
+                               f"expected {format_type(ft.arg)}")
         lp = effect_pnf(ft.latent)
         prefix, (s1, s2, s3) = pnf_align([fp, ap, lp])
         _require_disjoint(s1, s2)
@@ -315,9 +322,9 @@ def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
         ft, fp = effect_typecheck(env, m.fn)
         if not isinstance(ft, TForall):
             raise NonFunctionApplication(
-                f"name-applied a non-name-abstraction of type {ft}")
+                "name-applied a non-name-abstraction of type " + format_type(ft))
         if not wf_check(env, m.name):
-            raise IllFormed(f"ill-formed name: {m.name}")
+            raise IllFormed(f"ill-formed name: {format_name(m.name)}")
         latent = name_subst(ft.latent, ft.var, m.name)
         lp = effect_pnf(latent)
         prefix, (s1, s2) = pnf_align([fp, lp])
@@ -329,7 +336,7 @@ def effect_typecheck(env: TargetEnv, m: TgtExpr) -> tuple:
         rt, rp = effect_typecheck(env, m.right)
         t = type_join(lt, rt)
         if not wf_check(env, m.name):
-            raise IllFormed(f"ill-formed name: {m.name}")
+            raise IllFormed(f"ill-formed name: {format_name(m.name)}")
         np = effect_pnf(eff.Lit(normalize_name(m.name)))
         prefix, (s1, s2, s3) = pnf_align([lp, rp, np])
         branches = eff.alt(s1, s2)

@@ -1,18 +1,21 @@
 """Brute-force reference implementations used to cross-check the effect
 decision procedures, the prefix normal form, the alpha-equivalence keys,
-one-step reduction in both calculi and the weak bisimulation and
-non-coordination checks, plus a deterministic random-effect generator."""
+one-step reduction in both calculi, term and name substitution and the weak
+bisimulation and non-coordination checks, plus a deterministic
+random-effect generator."""
 
 from cochoice import effects as eff
 from cochoice.compiler import pseudo_compile
 from cochoice.harness import (
     COUNTEREXAMPLE, FUEL_EXHAUSTED, OK, CheckReport, PreconditionViolated,
 )
-from cochoice.names import is_name_var, normalize_name
+from cochoice.names import is_name_var, name_vars, normalize_name, word_subst
+from cochoice.printer import format_effect
 from cochoice.syntax import (
-    Add, App, Arrow, Choice, Fix, Lam, Nat, Num, TAdd, TApp, TArrow, TChoice,
-    TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar, Var,
-    canon_key, is_src_value, is_tgt_value, name_subst, subst_term,
+    Add, App, Arrow, Choice, Fix, Lam, Nat, Num, SrcExpr, TAdd, TApp, TArrow,
+    TChoice, TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar,
+    TgtExpr, TgtType, Var, canon_key, free_name_vars, free_vars, fresh,
+    is_src_value, is_tgt_value, name_subst, subst_term,
 )
 from cochoice.source import Stop, explore, src_step_all
 from cochoice.source import SrcTypeError
@@ -144,7 +147,8 @@ def reference_pnf(e):
         prefix.append(viable[0])
         e = eff.deriv(e, viable[0])
     if not eff.is_closed(e):
-        raise NonClosedResidual(f"name variables left in effect residue: {e}")
+        raise NonClosedResidual(
+            f"name variables left in effect residue: {format_effect(e)}")
     if reference_is_empty(e):
         return BOTTOM
     return EffectPNF(False, tuple(prefix), e)
@@ -460,3 +464,132 @@ def _ref_tgt_step(m, delta, worlds):
         if worlds and (phi, "-") in delta:
             out.append(("TR-WorldR", m.right))
     return out
+
+
+# ---------------------------------------------------------------------------
+# substitution by one walker per calculus and per kind: the four walkers
+# that syntax.subst_term and syntax.name_subst replaced, whose results theirs
+# must equal structurally, bound names included
+
+
+def reference_subst(body, x, repl):
+    """Capture-avoiding ``body[x := repl]``, in either calculus."""
+    if isinstance(body, SrcExpr) and isinstance(repl, SrcExpr):
+        return _ref_subst_src(body, x, repl)
+    if isinstance(body, TgtExpr) and isinstance(repl, TgtExpr):
+        return _ref_subst_tgt(body, x, repl)
+    raise TypeError(f"cannot substitute {repl!r} in {body!r}")
+
+
+def _ref_subst_src(e, x, r):
+    if x not in free_vars(e):
+        return e
+    if isinstance(e, Var):
+        return r
+    if isinstance(e, App):
+        return App(_ref_subst_src(e.fn, x, r), _ref_subst_src(e.arg, x, r))
+    if isinstance(e, Choice):
+        return Choice(_ref_subst_src(e.left, x, r), _ref_subst_src(e.right, x, r))
+    if isinstance(e, (Lam, Fix)):
+        cls = type(e)
+        if e.var in free_vars(r):
+            y = fresh(e.var, free_vars(r) | free_vars(e.body) | {x})
+            body = _ref_subst_src(e.body, e.var, Var(y))
+            return cls(y, e.ann, _ref_subst_src(body, x, r))
+        return cls(e.var, e.ann, _ref_subst_src(e.body, x, r))
+    raise TypeError(f"not a source expression: {e!r}")
+
+
+def _ref_subst_tgt(m, x, r):
+    if x not in free_vars(m):
+        return m
+    if isinstance(m, TVar):
+        return r
+    if isinstance(m, TApp):
+        return TApp(_ref_subst_tgt(m.fn, x, r), _ref_subst_tgt(m.arg, x, r))
+    if isinstance(m, TNameApp):
+        return TNameApp(_ref_subst_tgt(m.fn, x, r), m.name)
+    if isinstance(m, TChoice):
+        return TChoice(_ref_subst_tgt(m.left, x, r), m.name,
+                       _ref_subst_tgt(m.right, x, r))
+    if isinstance(m, (TLam, TFix)):
+        cls = type(m)
+        if m.var in free_vars(r):
+            y = fresh(m.var, free_vars(r) | free_vars(m.body) | {x})
+            body = _ref_subst_tgt(m.body, m.var, TVar(y))
+            return cls(y, m.ann, _ref_subst_tgt(body, x, r))
+        return cls(m.var, m.ann, _ref_subst_tgt(m.body, x, r))
+    if isinstance(m, TNameAbs):
+        # the replacement's free name variables must not be captured
+        if m.var in free_name_vars(r):
+            g = fresh(m.var, free_name_vars(r) | free_name_vars(m.body))
+            body = reference_name_subst(m.body, m.var, (g,))
+            return TNameAbs(g, _ref_subst_tgt(body, x, r))
+        return TNameAbs(m.var, _ref_subst_tgt(m.body, x, r))
+    raise TypeError(f"not a target expression: {m!r}")
+
+
+def reference_name_subst(entity, alpha, phi):
+    """The name ``phi`` for the name variable ``alpha`` in a name, effect,
+    target type or target term."""
+    phi = normalize_name(phi)
+    if isinstance(entity, tuple):
+        return word_subst(entity, alpha, phi)
+    if isinstance(entity, eff.Effect):
+        return eff.effect_subst(entity, alpha, phi)
+    if isinstance(entity, TgtType):
+        return _ref_nsubst_type(entity, alpha, phi)
+    if isinstance(entity, TgtExpr):
+        return _ref_nsubst_expr(entity, alpha, phi)
+    raise TypeError(f"cannot name-substitute in: {entity!r}")
+
+
+def _ref_nsubst_type(t, alpha, phi):
+    if alpha not in free_name_vars(t):
+        return t
+    if isinstance(t, TArrow):
+        return TArrow(
+            _ref_nsubst_type(t.arg, alpha, phi),
+            eff.effect_subst(t.latent, alpha, phi),
+            _ref_nsubst_type(t.res, alpha, phi),
+        )
+    if isinstance(t, TForall):
+        if t.var in name_vars(phi):
+            g = fresh(t.var, set(name_vars(phi)) | set(free_name_vars(t)) | {alpha})
+            t = TForall(
+                g,
+                eff.effect_subst(t.latent, t.var, (g,)),
+                _ref_nsubst_type(t.body, t.var, (g,)),
+            )
+        return TForall(
+            t.var,
+            eff.effect_subst(t.latent, alpha, phi),
+            _ref_nsubst_type(t.body, alpha, phi),
+        )
+    raise TypeError(f"not a target type: {t!r}")
+
+
+def _ref_nsubst_expr(m, alpha, phi):
+    if alpha not in free_name_vars(m):
+        return m
+    if isinstance(m, TApp):
+        return TApp(_ref_nsubst_expr(m.fn, alpha, phi),
+                    _ref_nsubst_expr(m.arg, alpha, phi))
+    if isinstance(m, (TLam, TFix)):
+        return type(m)(m.var, _ref_nsubst_type(m.ann, alpha, phi),
+                       _ref_nsubst_expr(m.body, alpha, phi))
+    if isinstance(m, TNameApp):
+        return TNameApp(_ref_nsubst_expr(m.fn, alpha, phi),
+                        word_subst(m.name, alpha, phi))
+    if isinstance(m, TChoice):
+        return TChoice(
+            _ref_nsubst_expr(m.left, alpha, phi),
+            word_subst(m.name, alpha, phi),
+            _ref_nsubst_expr(m.right, alpha, phi),
+        )
+    if isinstance(m, TNameAbs):
+        if m.var in name_vars(phi):
+            g = fresh(m.var, set(name_vars(phi)) | set(free_name_vars(m)) | {alpha})
+            m = TNameAbs(g, _ref_nsubst_expr(m.body, m.var, (g,)))
+        return TNameAbs(m.var, _ref_nsubst_expr(m.body, alpha, phi))
+    raise TypeError(f"not a target expression: {m!r}")

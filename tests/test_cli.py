@@ -1,9 +1,10 @@
 """Command-line interface and concrete syntax round trips."""
 
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cochoice.cli import main
 from cochoice.compiler import compile_expr
@@ -211,6 +212,41 @@ def test_budgets_must_be_positive(tmp_path, capsys, argv):
     assert code == 2 and out == "" and "must be a positive integer" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compile", "FILE", "--seed-var", "o"], "must be one name variable"),
+    (["compile", "FILE", "--seed-var", ""], "parse error"),
+    (["compile", "FILE", "--seed-var", "x y"], "must be one name variable"),
+    (["compile", "FILE", "--seed", "a"], "a closed name"),
+    (["compile", "FILE", "--seed", "o )"], "parse error"),
+    (["src-check", "SQUARE"], "unexpected character '²'"),
+    (["src-check", "LONG"], "numeral of 5000 digits is too long"),
+    (["tgt-check", "LONG"], "numeral of 5000 digits is too long"),
+])
+def test_bad_inputs_are_usage_or_parse_errors(tmp_path, capsys, argv, message):
+    # a seed variable that would not parse back, an open seed, and numerals
+    # that are not ASCII or that int() cannot convert
+    files = {"FILE": term_file(tmp_path, "(\\x:nat. (x || 7)) (3 || 5)"),
+             "SQUARE": term_file(tmp_path, "(\\x:nat. x) ²", "square.txt"),
+             "LONG": term_file(tmp_path, "1" * 5000, "long.txt")}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and out == "" and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd, text, message", [
+    ("src-check", "1 2", "applied a non-function of type nat"),
+    ("src-check", "(\\x:nat->nat. x) 1",
+     "argument has type nat, expected nat -> nat"),
+    ("tgt-check", "((1 ||{o} 2) ||{o} 3)",
+     "overlapping effects eps and eps, shared word eps"),
+])
+def test_type_errors_print_concrete_syntax(tmp_path, capsys, cmd, text,
+                                           message):
+    code, _, err = run(capsys, cmd, term_file(tmp_path, text))
+    assert code == 1 and err == f"type error: {message}\n"
+    assert not re.search(r"[A-Z]\w*\(", err)  # no dataclass repr
+
+
 def test_effect_subcommands(capsys):
     code, out, _ = run(capsys, "effect", "member", "o b", "o (o+b)*")
     assert code == 0 and out.strip() == "true"
@@ -251,6 +287,36 @@ def test_format_parse_round_trip_both_calculi(e, seed):
     phi = [random_effect(rng, rng.randrange(1, 10)) for _ in range(3)]
     t = TArrow(TArrow(TNAT, phi[0], TNAT), phi[1], TForall("al", phi[2], TNAT))
     assert alpha_eq(parse("type-tgt", format_type(t)), t)
+
+
+LANGUAGES = ["src", "tgt", "name", "effect", "type-src", "type-tgt"]
+SYNTAX = st.sampled_from(list("\\/().:{}|@+*-,>ob ax19") + ["nat", "fix",
+                                                           "all", "eps"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LANGUAGES),
+       st.lists(SYNTAX | st.characters(), max_size=30).map("".join))
+@example("src", "²")
+@example("tgt", "٣")
+@example("src", "1" * 5000)
+@example("name", "²")
+@example("effect", "٣")
+@example("type-src", "1" * 5000)
+@example("type-tgt", "²")
+def test_parse_raises_only_parse_errors(language, text):
+    try:
+        parse(language, text)
+    except ParseError:
+        pass
+
+
+def test_numerals_are_ascii_and_convertible():
+    assert parse("src", "42") == parse("src", " 42 ")
+    for text in ["²", "٣", "1" * 5000, "\\x:nat. x 1²"]:
+        for language in ("src", "tgt"):
+            with pytest.raises(ParseError):
+                parse(language, text)
 
 
 def test_parse_error_reports_position():

@@ -1,6 +1,7 @@
 """Term syntax: substitution, free variables, and alpha-equivalence."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from cochoice.parser import parse
 from cochoice.printer import format_any
 from cochoice.source import src_step_all
 from cochoice.target import tgt_step_all
-from oracle import reference_key
+from oracle import (
+    random_effect, reference_key, reference_name_subst, reference_subst,
+)
 
 
 def test_values():
@@ -90,7 +93,7 @@ def test_name_subst_avoids_name_capture():
 O_ARROW = TArrow(TNAT, Lit(("o",)), TNAT)
 
 
-@pytest.mark.parametrize("subst, entity, var, repl, printed, expected", [
+TARGET_CASES = [
     # a target term binder that would capture the replacement's free y
     (subst_term, TLam("y", TNAT, TApp(TVar("x"), TVar("y"))), "x", TVar("y"),
      "\\y1:nat. y y1", TLam("z", TNAT, TApp(TVar("y"), TVar("z")))),
@@ -116,8 +119,14 @@ O_ARROW = TArrow(TNAT, Lit(("o",)), TNAT)
                       TLam("x", TNAT, TApp(TVar("f"), TVar("x")))),
      "al", ("o",), "fix f:nat -{o}-> nat. \\x:nat. f x",
      TFix("g", O_ARROW, TLam("y", TNAT, TApp(TVar("g"), TVar("y"))))),
-], ids=["tlam_capture", "tfix_capture", "name_abs_capture", "arrow_latents",
-        "forall_capture", "tlam_annotation", "tfix_annotation"])
+]
+
+
+@pytest.mark.parametrize("subst, entity, var, repl, printed, expected",
+                         TARGET_CASES, ids=[
+                             "tlam_capture", "tfix_capture", "name_abs_capture",
+                             "arrow_latents", "forall_capture",
+                             "tlam_annotation", "tfix_annotation"])
 def test_target_substitution_cases(subst, entity, var, repl, printed,
                                    expected):
     out = subst(entity, var, repl)
@@ -177,6 +186,129 @@ def test_name_subst_identity_on_closed(e):
     m = compile_expr(e, "al", ())
     assert free_name_vars(m) <= {"al"}
     assert alpha_eq(name_subst(m, "be", ("o",)), m)
+
+
+# ------------------------------------------ substitution against the reference
+
+def _subterms(x):
+    yield x
+    for f in x.__match_args__:
+        v = getattr(x, f)
+        if isinstance(v, (SrcExpr, TgtExpr)):
+            yield from _subterms(v)
+
+
+def _subst_cases(x):
+    """(term, variable, replacement) for each binder below ``x``: each free
+    variable of its body replaced, in the body for the binder's own
+    variable and in the binder for the others, by ``x``, by variables named
+    after the binders, and in target terms by terms with the names that
+    name binders bind, so that binders of either kind must rename."""
+    subs = list(_subterms(x))
+    var = TVar if isinstance(x, TgtExpr) else Var
+    terms = sorted({s.var for s in subs if isinstance(s, (Lam, Fix, TLam, TFix))})
+    names = sorted({s.var for s in subs if isinstance(s, TNameAbs)})
+    pool = [x] + [var(v) for v in terms]
+    pool += [TNameApp(TVar(v), (n, "o")) for v in terms[:2] for n in names]
+    for s in subs:
+        if isinstance(s, (Lam, Fix, TLam, TFix, TNameAbs)):
+            for v in sorted(free_vars(s.body)):
+                for r in pool:
+                    yield (s.body if v == s.var else s), v, r
+
+
+def _name_cases(m):
+    """(entity, name variable, name) for ``m`` and each name binder's body
+    below it, with names built from the name variables bound there."""
+    names = sorted({s.var for s in _subterms(m) if isinstance(s, TNameAbs)})
+    phis = [(), ("o",), ("b", "o")] + [(n,) for n in names] \
+        + [("al", n, "o") for n in names[:2]]
+    for s in _subterms(m):
+        if isinstance(s, TNameAbs):
+            for phi in phis:
+                yield s.body, s.var, phi
+    for phi in phis:
+        yield m, "al", phi
+
+
+def _random_type(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return TNAT
+    latent = random_effect(rng, rng.randrange(1, 6))
+    if rng.random() < 0.5:
+        return TForall(rng.choice(["al", "be"]), latent,
+                       _random_type(rng, depth - 1))
+    return TArrow(_random_type(rng, depth - 1), latent,
+                  _random_type(rng, depth - 1))
+
+
+REFERENCE = {subst_term: reference_subst, name_subst: reference_name_subst}
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms, st.integers(0, 10**6))
+def test_substitution_agrees_with_reference(e, seed):
+    # equal as trees, so the renamed binders carry the same fresh names
+    cases = [(subst_term, *c) for c in _subst_cases(e)]
+    for s in [(), ("o",), ("b", "o")]:
+        m = compile_expr(e, "al", s)
+        closed = name_subst(m, "al", ())
+        for t in [m, closed, *tgt_step_all(closed)]:
+            cases += [(subst_term, *c) for c in _subst_cases(t)]
+            cases += [(name_subst, *c) for c in _name_cases(t)]
+    rng = random.Random(seed)
+    for t in [_random_type(rng, 4) for _ in range(4)]:
+        cases += [(name_subst, t, alpha, phi) for alpha in ["al", "be"]
+                  for phi in [(), ("o",), ("be",), ("al", "be", "o")]]
+    cases += [case[:4] for case in TARGET_CASES]
+    for subst, entity, var, repl in cases:
+        assert subst(entity, var, repl) == REFERENCE[subst](entity, var, repl)
+
+
+# Generated programs are closed and rarely nest a binder that uses both its
+# own variable and an outer one, so open terms over a few shared variable
+# names make the renaming cases common.
+term_vars = st.sampled_from(["x", "y", "x1"])
+name_words = st.lists(st.sampled_from(["o", "al", "be", "al1", "be1"]),
+                      max_size=3).map(tuple)
+anns = st.sampled_from([TNAT, TArrow(TNAT, Lit(("al",)), TNAT),
+                        TForall("be", Lit(("al", "be")), TNAT)])
+open_src = st.recursive(
+    term_vars.map(Var) | st.just(Num(0)),
+    lambda t: st.builds(App, t, t) | st.builds(Choice, t, t)
+    | st.builds(Lam, term_vars, st.just(NAT), t)
+    | st.builds(Fix, term_vars, st.just(NAT), t),
+    max_leaves=8)
+open_tgt = st.recursive(
+    term_vars.map(TVar) | st.just(TNum(0)),
+    lambda t: st.builds(TApp, t, t) | st.builds(TChoice, t, name_words, t)
+    | st.builds(TLam, term_vars, anns, t) | st.builds(TFix, term_vars, anns, t)
+    | st.builds(TNameAbs, st.sampled_from(["al", "be"]), t)
+    | st.builds(TNameApp, t, name_words),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(open_src, open_src) | st.tuples(open_tgt, open_tgt),
+       name_words)
+def test_substitution_agrees_with_reference_on_open_terms(pair, phi):
+    body, repl = pair
+    for s in _subterms(body):
+        for x in sorted(free_vars(s)):
+            assert subst_term(s, x, repl) == reference_subst(s, x, repl)
+        for alpha in sorted(free_name_vars(s)) if isinstance(s, TgtExpr) else ():
+            assert name_subst(s, alpha, phi) == \
+                reference_name_subst(s, alpha, phi)
+
+
+def test_substitution_keeps_the_kind_guards():
+    with pytest.raises(TypeError):
+        subst_term(Var("x"), "x", TVar("y"))
+    with pytest.raises(TypeError):
+        subst_term(TVar("x"), "x", Var("y"))
+    for entity in [Var("x"), NAT, "al"]:
+        with pytest.raises(TypeError):
+            name_subst(entity, "al", ("o",))
 
 
 # ------------------------------------------------ keys against the reference
