@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a check or verification failed, 2 usage or parse
-errors, including input nested too deeply to process.  Terms are read from
+errors, including input nested too deeply to process and a program that
+uses the builtin, which the compiler refuses.  Terms are read from
 files (or ``-`` for stdin) in the concrete syntax and printed one per line.
 """
 
@@ -11,7 +12,9 @@ import argparse
 import sys
 
 from . import effects as eff
-from .compiler import compile_expr, erase, pseudo_compile
+from .compiler import (
+    BuiltinNotCompilable, compile_expr, erase, pseudo_compile,
+)
 from .harness import (
     FUEL_EXHAUSTED, OK, PreconditionViolated, check_non_coordination,
     check_strong_bisim, check_subject_reduction, check_weak_bisim_pseudo,
@@ -125,6 +128,9 @@ def main(argv=None) -> int:
         return _dispatch(ns)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except BuiltinNotCompilable as exc:  # compile and pseudo refuse the input
+        print(f"compile error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         # typing, stepping and keys recurse on the term's depth; parsing

@@ -18,10 +18,14 @@ and a FuelExhausted report names its ``cause``:
 Every check steps by the calculi's public relations: ``src_step_all`` for
 source terms, and for target terms ``tgt_step_all`` under the empty world
 and, for non-coordination, ``tgt_step_nc``; ``end_to_end`` evaluates with
-``src_eval`` and ``tgt_eval``.  Each calculus memoizes its steps per
-subterm (``source._STEPS``, ``target._STEPS``), so a state that a check
-meets again, or that an earlier check of the same program stepped, costs
-one lookup, and a new state costs the spine its own step changed.
+``src_eval`` and ``tgt_eval``.  Both calculi step by one relation,
+memoized per subterm and world in one table (``source._STEPS``), so a
+state that a check meets again, or that an earlier check of the same
+program stepped, costs one lookup, and a new state costs the spine its own
+step changed.
+
+A source term that the compiler refuses (one that uses the builtin) fails
+the precondition of the checks that compile it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import random
 from dataclasses import dataclass, replace
 
 from . import effects as eff
-from .compiler import adm, compile_expr, erase, pseudo_compile
+from .compiler import (
+    BuiltinNotCompilable, adm, compile_expr, erase, pseudo_compile,
+)
 from .source import (
     SrcTypeError, Stop, explore, src_eval, src_step_all, src_typecheck,
 )
@@ -136,10 +142,7 @@ def check_weak_bisim_pseudo(e: SrcExpr, depth: int | None = 8,
     ``adm(p) == pseudo_compile(a)``, where each step in the τ-closure of ``p``
     (searched over at most ``fuel`` states) is τ or a move, and the class's
     ``adm``-normal member matches every source step."""
-    try:
-        src_typecheck(e)
-    except SrcTypeError as exc:
-        raise PreconditionViolated(f"source term is untyped: {exc}") from exc
+    image = _pseudo_image(e)
     memo, walked = {}, {}  # for adm; canon_key(q) -> the steps of q
 
     def moves(pair):
@@ -158,8 +161,21 @@ def check_weak_bisim_pseudo(e: SrcExpr, depth: int | None = 8,
             raise Stop(_verdict(closure))
         return out, {k for k, _ in walked.get(cls, ())}
 
-    return _bisim((e, pseudo_compile(e)), depth,
+    return _bisim((e, image), depth,
                   lambda a: canon_key(pseudo_compile(a)), moves, "pseudo")
+
+
+def _pseudo_image(e: SrcExpr) -> SrcExpr:
+    """``pseudo_compile(e)`` if ``e`` is typed and the compiler accepts it
+    (so it does not use the builtin), else PreconditionViolated."""
+    try:
+        src_typecheck(e)
+        return pseudo_compile(e)
+    except SrcTypeError as exc:
+        raise PreconditionViolated(f"source term is untyped: {exc}") from exc
+    except BuiltinNotCompilable as exc:
+        raise PreconditionViolated(
+            f"source term does not compile: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +315,7 @@ def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
     sub-check's CounterExample is ``(side, witness)``.  A compiled term
     that does not erase to the pseudo compilation is a CounterExample
     ``("strong", reason)``."""
-    try:
-        src_typecheck(e)
-    except SrcTypeError as exc:
-        raise PreconditionViolated(f"source term is untyped: {exc}") from exc
+    image = _pseudo_image(e)
     m = name_subst(compile_expr(e, "a", ()), "a", ())
 
     src_res = src_eval(e, fuel)
@@ -320,7 +333,7 @@ def end_to_end(e: SrcExpr, fuel: int = 200) -> CheckReport:
         return CheckReport(COUNTEREXAMPLE, (only_src, only_tgt), explored)
 
     try:
-        side, sub = "strong", check_strong_bisim(pseudo_compile(e), m, None)
+        side, sub = "strong", check_strong_bisim(image, m, None)
     except PreconditionViolated as exc:  # m is typed: erase(m) is not the image
         return CheckReport(COUNTEREXAMPLE, ("strong", str(exc)), explored)
     explored += sub.explored

@@ -41,8 +41,8 @@ it on the benchmark's ``bisim`` workload and 0.86 times on ``typing``
 - with the nameless keys and the effects weak as well, peak memory stayed
   at 83 MB, but the garbage collector took 3.2-3.4 s instead of 2.3-2.8 s.
 
-The step memos of ``source`` and ``target`` win back part of the stepping
-time without these costs. An earlier strong table of every subterm ever
+The step memo of ``source``, which both calculi step through, wins back
+part of the stepping time without these costs. An earlier strong table of every subterm ever
 hashed cost 38 MB more peak memory on ``translate``.
 """
 

@@ -16,6 +16,7 @@ Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import wraps
 
 from . import effects as eff
@@ -40,7 +41,7 @@ class ParseError(Exception):
 MAX_NESTING = 150  # levels; a level costs the parser up to five Python frames
 
 _SYMBOLS = ["/\\", "||", "-{", "->", "\\", "(", ")", "{", "}", ":", ".",
-            "@", "+", "*", ","]
+            "@", "+", "*", ",", "-"]
 _KEYWORDS = {"fix", "all", "nat", "add", "o", "b", "eps"}
 _DIGITS = "0123456789"  # numerals are ASCII; str.isdigit also accepts '²'
 
@@ -157,12 +158,8 @@ class _Parser:
         return self.next().text
 
     def numeral(self) -> int:
-        t = self.next()
-        try:
-            return int(t.text)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"numeral of {len(t.text)} digits is too long",
-                             t.offset, t.line, t.column) from None
+        # int() reads at most sys.get_int_max_str_digits() digits, Decimal any
+        return int(Decimal(self.next().text))
 
     def done(self):
         if self.peek().kind != "eof":
@@ -193,6 +190,20 @@ class _Parser:
         if not atoms:
             self.fail("expected a name")
         return tuple(atoms)
+
+    def world(self) -> frozenset:
+        """Polarized names separated by commas; an empty entry is skipped."""
+        out = set()
+        while self.peek().kind != "eof":
+            if self.eat(","):
+                continue
+            word = self.name()
+            if not (self.at("+") or self.at("-")):
+                self.fail("world entry must end in + or -")
+            out.add((word, self.next().text))
+            if self.peek().kind != "eof":
+                self.expect(",")
+        return frozenset(out)
 
     # -- effects -----------------------------------------------------------
     @_nested
@@ -406,14 +417,6 @@ def parse(language: str, text: str):
 
 
 def parse_world(text: str) -> frozenset:
-    """A world given as a comma list of polarized names, e.g. ``"o b+, o-"``."""
-    out = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk[-1] not in "+-":
-            raise ParseError("world entry must end in + or -", 0, 1, 1)
-        word = parse("name", chunk[:-1].strip())
-        out.add((word, chunk[-1]))
-    return frozenset(out)
+    """A world given as a comma list of polarized names, e.g. ``"o b+, o-"``;
+    raises ParseError."""
+    return _Parser(text).world()

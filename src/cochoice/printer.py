@@ -6,6 +6,8 @@ for every AST produced by this package.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from . import effects as eff
 from .names import format_name
 from .syntax import (
@@ -69,8 +71,8 @@ def format_expr(e) -> str:
 def _fmt(e, level):
     if isinstance(e, (Var, TVar)):
         return e.name
-    if isinstance(e, (Num, TNum)):
-        return str(e.value)
+    if isinstance(e, (Num, TNum)):  # str(int) stops at 4,300 digits by default
+        return str(Decimal(e.value))
     if isinstance(e, (Add, TAdd)):
         return "add"
     if isinstance(e, (Lam, TLam)):

@@ -1,8 +1,10 @@
-"""The plain-choice calculus: typing and small-step reduction.
+"""The plain-choice calculus: typing and small-step reduction; the one
+step relation of both calculi; and the bounded search that explores them.
 
 Choices never collapse here: ``(e1 || e2)`` steps inside either branch, and
 application distributes over a choice in function or argument position at
-call time, so every branch combination gets explored.
+call time, so every branch combination gets explored.  The named-choice
+calculus reduces by the same rules, plus its own (see ``_step``).
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
+from .names import normalize_name
 from .printer import format_type
 from .syntax import (
-    Add, App, Arrow, Choice, Fix, Lam, NAT, Num, SrcExpr, SrcType, Var,
-    canon_key, is_src_value, subst_term,
+    Add, App, Arrow, Choice, Fix, Lam, NAT, Num, SrcExpr, SrcType, TAdd, TApp,
+    TChoice, TFix, TLam, TNameAbs, TNameApp, TNum, TgtExpr, Var, canon_key,
+    is_answer, is_value, name_subst, subst_term,
 )
 
 
@@ -87,61 +91,101 @@ def _infer(e, env):
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# reduction, of either calculus
 
-_STEP_CACHE_SIZE = 1 << 9  # entries of _STEPS
-_STEPS: dict = {}  # term -> its (path, successor) pairs, least recent first
+_STEP_CACHE_SIZE = 1 << 10  # entries of _STEPS
+_STEPS: dict = {}  # (term, world) -> (path, successor) pairs, least recent first
+_EMPTY = frozenset()  # the world a source term steps under
+
+_APP, _FIX, _CHOICE = (App, TApp), (Fix, TFix), (Choice, TChoice)
+_STEPPING = _APP + _FIX + _CHOICE + (TNameApp,)
 
 
 def src_step_all(e: SrcExpr) -> list[tuple[str, SrcExpr]]:
     """All one-step successors of ``e`` as (path, term) pairs, one per
     derivation; the path names its rules from the root down to the redex,
     joined by ``/``, such as ``SR-AppR/SR-DistAppL``."""
-    return list(_step(e))
+    return list(_step(e, _EMPTY))
 
 
-def _step(e) -> tuple:
-    """``src_step_all(e)`` as a tuple, memoized per term in ``_STEPS``, an
-    LRU of ``_STEP_CACHE_SIZE`` entries.  A successor shares every subterm
-    its step left alone, so stepping it answers those from the memo, and a
-    hit hands out the successor objects built before.  Other terms than
-    applications, fixpoints and choices do not step and stay out of it."""
-    if not isinstance(e, (App, Fix, Choice)):
+def _step(m, world) -> tuple:
+    """The (path, successor) pairs of a source term, or of a target term
+    under the normalized world ``world``.  The rules of the plain-choice
+    calculus are named ``SR-…`` and hold in the named-choice one as
+    ``TR-…``, which adds the World rules of a named choice and the rules of
+    name application.  Memoized per term and world in ``_STEPS``, an LRU of
+    ``_STEP_CACHE_SIZE`` entries.  A successor shares every subterm its
+    step left alone, so stepping it answers those from the memo, and a hit
+    hands out the successor objects built before.  Terms that cannot step
+    stay out of it."""
+    if not isinstance(m, _STEPPING):
         return ()
-    out = _STEPS.pop(e, None)
+    key = (m, world)
+    out = _STEPS.pop(key, None)
     if out is None:
         out = []
-        if isinstance(e, App):
-            f, a = e.fn, e.arg
-            if isinstance(f, Lam) and is_src_value(a):
-                out.append(("SR-Beta", subst_term(f.body, f.var, a)))
-            if isinstance(f, App) and isinstance(f.fn, Add) \
-                    and isinstance(f.arg, Num) and isinstance(a, Num):
-                out.append(("SR-Add", Num(f.arg.value + a.value)))
-            if isinstance(f, Choice):
-                out.append(("SR-DistAppL",
-                            Choice(App(f.left, a), App(f.right, a))))
-            if isinstance(a, Choice) and is_src_value(f):
-                out.append(("SR-DistAppR",
-                            Choice(App(f, a.left), App(f, a.right))))
-            for path, f2 in _step(f):
-                out.append(("SR-AppL/" + path, App(f2, a)))
-            if is_src_value(f):
-                for path, a2 in _step(a):
-                    out.append(("SR-AppR/" + path, App(f, a2)))
-        elif isinstance(e, Fix):
-            if isinstance(e.body, Lam):
-                out.append(("SR-Fix", subst_term(e.body, e.var, e)))
-        elif isinstance(e, Choice):
-            for path, l2 in _step(e.left):
-                out.append(("SR-ChoiceL/" + path, Choice(l2, e.right)))
-            for path, r2 in _step(e.right):
-                out.append(("SR-ChoiceR/" + path, Choice(e.left, r2)))
+        pre = "TR-" if isinstance(m, TgtExpr) else "SR-"
+        if isinstance(m, _APP):
+            app, f, a = type(m), m.fn, m.arg
+            if isinstance(f, (Lam, TLam)) and is_value(a):
+                out.append((pre + "Beta", subst_term(f.body, f.var, a)))
+            if isinstance(f, _APP) and isinstance(f.fn, (Add, TAdd)) \
+                    and isinstance(f.arg, (Num, TNum)) \
+                    and isinstance(a, (Num, TNum)):
+                out.append((pre + "Add", type(a)(f.arg.value + a.value)))
+            if isinstance(f, _CHOICE):
+                out.append((pre + "DistAppL",
+                            _rechoice(f, app(f.left, a), app(f.right, a))))
+            if isinstance(a, _CHOICE) and is_value(f):
+                out.append((pre + "DistAppR",
+                            _rechoice(a, app(f, a.left), app(f, a.right))))
+            for path, f2 in _step(f, world):
+                out.append((pre + "AppL/" + path, app(f2, a)))
+            if is_value(f):
+                for path, a2 in _step(a, world):
+                    out.append((pre + "AppR/" + path, app(f, a2)))
+        elif isinstance(m, _FIX):
+            if isinstance(m.body, (Lam, TLam)):
+                out.append((pre + "Fix", subst_term(m.body, m.var, m)))
+        elif isinstance(m, TNameApp):
+            f = m.fn
+            if isinstance(f, TNameAbs):
+                out.append(("TR-Sigma", name_subst(f.body, f.var, m.name)))
+            if isinstance(f, TChoice):
+                out.append(("TR-DistSApp",
+                            TChoice(TNameApp(f.left, m.name), f.name,
+                                    TNameApp(f.right, m.name))))
+            for path, f2 in _step(f, world):
+                out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
+        else:  # a choice, whose named branches extend the world
+            wl = wr = world
+            if isinstance(m, TChoice):
+                phi = normalize_name(m.name)
+                wl, wr = world | {(phi, "+")}, world | {(phi, "-")}
+            for path, l2 in _step(m.left, wl):
+                out.append((pre + "ChoiceL/" + path,
+                            _rechoice(m, l2, m.right)))
+            for path, r2 in _step(m.right, wr):
+                out.append((pre + "ChoiceR/" + path,
+                            _rechoice(m, m.left, r2)))
+            if isinstance(m, TChoice):
+                if (phi, "+") in world:
+                    out.append(("TR-WorldL", m.left))
+                if (phi, "-") in world:
+                    out.append(("TR-WorldR", m.right))
         out = tuple(out)
         if len(_STEPS) >= _STEP_CACHE_SIZE:
             del _STEPS[next(iter(_STEPS))]
-    _STEPS[e] = out
+    _STEPS[key] = out
     return out
+
+
+def _rechoice(c, left, right):
+    """A choice like ``c``, named as ``c`` is if it is named, over new
+    branches."""
+    if isinstance(c, TChoice):
+        return TChoice(left, c.name, right)
+    return Choice(left, right)
 
 
 def choice_leaves(e: SrcExpr) -> list[SrcExpr]:
@@ -216,10 +260,11 @@ class EvalResult:
         return self.cause is not None
 
 
-def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
+def bfs_eval(start, succ_fn, fuel: int) -> EvalResult:
     """Explore a step relation exhaustively and collect normal forms.
 
-    A normal form is a state with no successors.  The search expands at
+    A normal form is a state with no successors, and a stuck one is a normal
+    form that is not an answer (``syntax.is_answer``).  The search expands at
     most ``fuel`` states; ``cause`` is ``"states"`` when states are left
     pending, and ``"cycle"`` when the explored graph contains a cycle (an
     infinite reduction path).
@@ -231,7 +276,7 @@ def bfs_eval(start, succ_fn, fuel: int, stuck_fn=None) -> EvalResult:
         succ = succ_fn(t)
         if not succ:
             res.normal_forms.append(t)
-            if stuck_fn is not None and not stuck_fn(t):
+            if not is_answer(t):
                 res.stuck.append(t)
         else:
             edges[canon_key(t)] = {canon_key(s) for s in succ}
@@ -253,11 +298,4 @@ def _has_cycle(edges: dict) -> bool:
 
 def src_eval(e: SrcExpr, fuel: int = 10000) -> EvalResult:
     """All normal forms reachable from ``e``; see ``bfs_eval``."""
-    return bfs_eval(e, lambda t: [s for _, s in src_step_all(t)], fuel,
-                    _is_answer)
-
-
-def _is_answer(t) -> bool:
-    if isinstance(t, Choice):
-        return _is_answer(t.left) and _is_answer(t.right)
-    return is_src_value(t)
+    return bfs_eval(e, lambda t: [s for _, s in src_step_all(t)], fuel)

@@ -189,17 +189,20 @@ class TAdd(TgtExpr):
 TADD = TAdd()
 
 
-def is_src_value(e: SrcExpr) -> bool:
-    if isinstance(e, (Lam, Num, Add)):
+def is_value(e) -> bool:
+    """A value of either calculus: an abstraction, a numeral, the builtin
+    or the builtin applied to a numeral."""
+    if isinstance(e, (Lam, TLam, TNameAbs, Num, TNum, Add, TAdd)):
         return True
-    # partial application of the demo builtin
-    return isinstance(e, App) and isinstance(e.fn, Add) and isinstance(e.arg, Num)
+    return (isinstance(e, (App, TApp)) and isinstance(e.fn, (Add, TAdd))
+            and isinstance(e.arg, (Num, TNum)))
 
 
-def is_tgt_value(m: TgtExpr) -> bool:
-    if isinstance(m, (TLam, TNameAbs, TNum, TAdd)):
-        return True
-    return isinstance(m, TApp) and isinstance(m.fn, TAdd) and isinstance(m.arg, TNum)
+def is_answer(e) -> bool:
+    """A value or a choice tree of values: a normal form that is not stuck."""
+    if isinstance(e, (Choice, TChoice)):
+        return is_answer(e.left) and is_answer(e.right)
+    return is_value(e)
 
 
 def size_of(e) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import effects as eff
+from . import effects as eff, source
 from .names import format_name, is_name_var, name_vars, normalize_name
 from .printer import format_effect, format_type
 from .source import (
@@ -25,7 +25,7 @@ from .source import (
 from .syntax import (
     TAdd, TApp, TArrow, TChoice, TFix, TForall, TLam, TNAT, TNameAbs,
     TNameApp, TNat, TNum, TVar, TgtExpr, TgtType, canon_key, fresh,
-    free_name_vars, is_tgt_value, name_subst, subst_term,
+    free_name_vars, name_subst,
 )
 
 _CACHE_SIZE = 1 << 12  # entries of each lru_cache below
@@ -352,87 +352,26 @@ def _norm_world(delta) -> frozenset:
     return frozenset((normalize_name(w), pol) for w, pol in delta)
 
 
-_STEP_CACHE_SIZE = 1 << 9  # entries of _STEPS
-_STEPS: dict = {}  # (term, world) -> (path, successor) pairs, least recent first
-
-
 def tgt_step_trace(m: TgtExpr, delta=frozenset()) -> list:
     """All one-step successors of ``m`` under world ``delta``.
 
     Returns (path, term) pairs, one per derivation.  The path names the
     rules of the derivation from the root down to the redex, joined by
     ``/``, such as ``TR-AppL/TR-ChoiceR/TR-Beta``, so a derivation that
-    collapses a choice names ``TR-WorldL`` or ``TR-WorldR``.
+    collapses a choice names ``TR-WorldL`` or ``TR-WorldR``.  The steps
+    are ``source._step``'s, which both calculi share.
     """
-    return list(_step(m, _norm_world(delta)))
-
-
-def _step(m, delta) -> tuple:
-    """``tgt_step_trace`` as a tuple, under world ``delta``.  Memoized per
-    term and world in ``_STEPS``, an LRU of ``_STEP_CACHE_SIZE`` entries,
-    as ``source._step`` is per term."""
-    if not isinstance(m, (TApp, TNameApp, TFix, TChoice)):
-        return ()
-    key = (m, delta)
-    out = _STEPS.pop(key, None)
-    if out is None:
-        out = []
-        if isinstance(m, TApp):
-            f, a = m.fn, m.arg
-            if isinstance(f, TLam) and is_tgt_value(a):
-                out.append(("TR-Beta", subst_term(f.body, f.var, a)))
-            if isinstance(f, TApp) and isinstance(f.fn, TAdd) \
-                    and isinstance(f.arg, TNum) and isinstance(a, TNum):
-                out.append(("TR-Add", TNum(f.arg.value + a.value)))
-            if isinstance(f, TChoice):
-                out.append(("TR-DistAppL",
-                            TChoice(TApp(f.left, a), f.name, TApp(f.right, a))))
-            if isinstance(a, TChoice) and is_tgt_value(f):
-                out.append(("TR-DistAppR",
-                            TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
-            for path, f2 in _step(f, delta):
-                out.append(("TR-AppL/" + path, TApp(f2, a)))
-            if is_tgt_value(f):
-                for path, a2 in _step(a, delta):
-                    out.append(("TR-AppR/" + path, TApp(f, a2)))
-        elif isinstance(m, TNameApp):
-            f = m.fn
-            if isinstance(f, TNameAbs):
-                out.append(("TR-Sigma", name_subst(f.body, f.var, m.name)))
-            if isinstance(f, TChoice):
-                out.append(("TR-DistSApp",
-                            TChoice(TNameApp(f.left, m.name), f.name,
-                                    TNameApp(f.right, m.name))))
-            for path, f2 in _step(f, delta):
-                out.append(("TR-SApp/" + path, TNameApp(f2, m.name)))
-        elif isinstance(m, TFix):
-            if isinstance(m.body, TLam):
-                out.append(("TR-Fix", subst_term(m.body, m.var, m)))
-        else:  # a choice, whose branches step under the world it extends
-            phi = normalize_name(m.name)
-            for path, l2 in _step(m.left, delta | {(phi, "+")}):
-                out.append(("TR-ChoiceL/" + path, TChoice(l2, m.name, m.right)))
-            for path, r2 in _step(m.right, delta | {(phi, "-")}):
-                out.append(("TR-ChoiceR/" + path, TChoice(m.left, m.name, r2)))
-            if (phi, "+") in delta:
-                out.append(("TR-WorldL", m.left))
-            if (phi, "-") in delta:
-                out.append(("TR-WorldR", m.right))
-        out = tuple(out)
-        if len(_STEPS) >= _STEP_CACHE_SIZE:
-            del _STEPS[next(iter(_STEPS))]
-    _STEPS[key] = out
-    return out
+    return list(source._step(m, _norm_world(delta)))
 
 
 def tgt_step_all(m: TgtExpr, delta=frozenset()) -> list:
-    """Successor terms under the coordinated relation, deduplicated."""
-    return _dedup(t for _, t in tgt_step_trace(m, delta))
+    """Successor terms under the coordinated relation, one per derivation."""
+    return [t for _, t in tgt_step_trace(m, delta)]
 
 
 def tgt_step_nc(m: TgtExpr) -> list:
-    """Successor terms under the non-coordinated relation, deduplicated:
-    the ∅-world derivations that use neither ``TR-WorldL`` nor
+    """Successor terms under the non-coordinated relation, one per
+    derivation: the ∅-world derivations that use neither ``TR-WorldL`` nor
     ``TR-WorldR``.
 
     This is exact.  Only the World rules read the world, so a derivation
@@ -440,21 +379,9 @@ def tgt_step_nc(m: TgtExpr) -> list:
     them from the ∅-world derivations leaves the non-coordinated ones, in
     the order the non-coordinated relation derives them.  Those are the
     derivations ``tgt_step_all(m)`` gets, so the two share one entry of
-    ``_STEPS``.
+    the step memo.
     """
-    return _dedup(t for path, t in tgt_step_trace(m)
-                  if "TR-World" not in path)
-
-
-def _dedup(terms):
-    seen = set()
-    out = []
-    for t in terms:
-        k = canon_key(t)
-        if k not in seen:
-            seen.add(k)
-            out.append(t)
-    return out
+    return [t for path, t in tgt_step_trace(m) if "TR-World" not in path]
 
 
 def tgt_eval(m: TgtExpr, delta=frozenset(), fuel: int = 10000):
@@ -463,15 +390,9 @@ def tgt_eval(m: TgtExpr, delta=frozenset(), fuel: int = 10000):
     Returns an ``EvalResult`` like the source evaluator.
     """
     delta = _norm_world(delta)
-    return bfs_eval(m, lambda t: tgt_step_all(t, delta), fuel, _is_answer)
+    return bfs_eval(m, lambda t: tgt_step_all(t, delta), fuel)
 
 
 def tgt_eval_nc(m: TgtExpr, fuel: int = 10000):
     """Like ``tgt_eval`` but under the non-coordinated relation."""
-    return bfs_eval(m, tgt_step_nc, fuel, _is_answer)
-
-
-def _is_answer(t) -> bool:
-    if isinstance(t, TChoice):
-        return _is_answer(t.left) and _is_answer(t.right)
-    return is_tgt_value(t)
+    return bfs_eval(m, tgt_step_nc, fuel)

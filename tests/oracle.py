@@ -15,7 +15,7 @@ from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, SrcExpr, TAdd, TApp, TArrow,
     TChoice, TFix, TForall, TLam, TNameAbs, TNameApp, TNat, TNum, TVar,
     TgtExpr, TgtType, Var, canon_key, free_name_vars, free_vars, fresh,
-    is_src_value, is_tgt_value, name_subst, subst_term,
+    is_value, name_subst, subst_term,
 )
 from cochoice.source import Stop, explore, src_step_all
 from cochoice.source import SrcTypeError
@@ -386,18 +386,18 @@ def reference_src_step(e):
     out = []
     if isinstance(e, App):
         f, a = e.fn, e.arg
-        if isinstance(f, Lam) and is_src_value(a):
+        if isinstance(f, Lam) and is_value(a):
             out.append(("SR-Beta", subst_term(f.body, f.var, a)))
         if isinstance(f, App) and isinstance(f.fn, Add) and isinstance(f.arg, Num) \
                 and isinstance(a, Num):
             out.append(("SR-Add", Num(f.arg.value + a.value)))
         if isinstance(f, Choice):
             out.append(("SR-DistAppL", Choice(App(f.left, a), App(f.right, a))))
-        if isinstance(a, Choice) and is_src_value(f):
+        if isinstance(a, Choice) and is_value(f):
             out.append(("SR-DistAppR", Choice(App(f, a.left), App(f, a.right))))
         for path, f2 in reference_src_step(f):
             out.append(("SR-AppL/" + path, App(f2, a)))
-        if is_src_value(f):
+        if is_value(f):
             for path, a2 in reference_src_step(a):
                 out.append(("SR-AppR/" + path, App(f, a2)))
     elif isinstance(e, Fix):
@@ -424,7 +424,7 @@ def _ref_tgt_step(m, delta, worlds):
     out = []
     if isinstance(m, TApp):
         f, a = m.fn, m.arg
-        if isinstance(f, TLam) and is_tgt_value(a):
+        if isinstance(f, TLam) and is_value(a):
             out.append(("TR-Beta", subst_term(f.body, f.var, a)))
         if isinstance(f, TApp) and isinstance(f.fn, TAdd) \
                 and isinstance(f.arg, TNum) and isinstance(a, TNum):
@@ -432,12 +432,12 @@ def _ref_tgt_step(m, delta, worlds):
         if isinstance(f, TChoice):
             out.append(("TR-DistAppL",
                         TChoice(TApp(f.left, a), f.name, TApp(f.right, a))))
-        if isinstance(a, TChoice) and is_tgt_value(f):
+        if isinstance(a, TChoice) and is_value(f):
             out.append(("TR-DistAppR",
                         TChoice(TApp(f, a.left), a.name, TApp(f, a.right))))
         for path, f2 in _ref_tgt_step(f, delta, worlds):
             out.append(("TR-AppL/" + path, TApp(f2, a)))
-        if is_tgt_value(f):
+        if is_value(f):
             for path, a2 in _ref_tgt_step(a, delta, worlds):
                 out.append(("TR-AppR/" + path, TApp(f, a2)))
     elif isinstance(m, TNameApp):

@@ -1,7 +1,10 @@
 """Command-line interface and concrete syntax round trips."""
 
+import io
 import random
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -219,15 +222,15 @@ def test_budgets_must_be_positive(tmp_path, capsys, argv):
     (["compile", "FILE", "--seed", "a"], "a closed name"),
     (["compile", "FILE", "--seed", "o )"], "parse error"),
     (["src-check", "SQUARE"], "unexpected character '²'"),
-    (["src-check", "LONG"], "numeral of 5000 digits is too long"),
-    (["tgt-check", "LONG"], "numeral of 5000 digits is too long"),
+    (["compile", "ADD"], "compile error: demo builtins have no compilation"),
+    (["pseudo", "ADD"], "compile error: demo builtins have no compilation"),
 ])
 def test_bad_inputs_are_usage_or_parse_errors(tmp_path, capsys, argv, message):
-    # a seed variable that would not parse back, an open seed, and numerals
-    # that are not ASCII or that int() cannot convert
+    # a seed variable that would not parse back, an open seed, a numeral
+    # that is not ASCII, and a program the compiler refuses
     files = {"FILE": term_file(tmp_path, "(\\x:nat. (x || 7)) (3 || 5)"),
              "SQUARE": term_file(tmp_path, "(\\x:nat. x) ²", "square.txt"),
-             "LONG": term_file(tmp_path, "1" * 5000, "long.txt")}
+             "ADD": term_file(tmp_path, "add 1 2", "add.txt")}
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2 and out == "" and message in err
     assert "Traceback" not in err
@@ -261,10 +264,47 @@ def test_effect_subcommands(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("(1 || 2)"))
     code, out, _ = run(capsys, "src-eval", "-")
     assert code == 0 and out.strip() == "(1 || 2)"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+EXAMPLE = re.compile(r"(?:echo (.*?) \| )?cochoice (.*?)(?:\s+# (.*))?")
+
+
+def readme_examples():
+    """``(stdin, argv, output lines)`` of each ``cochoice`` command in the
+    README's ``sh`` blocks that shows its output, in a ``# `` comment at
+    the end of its line or on the comment lines right below it.  A command
+    may read its input from an ``echo`` piped into it."""
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            m = EXAMPLE.fullmatch(line)
+            if not m:
+                continue
+            piped, args, inline = m.groups()
+            shown = [inline] if inline else []
+            for below in lines[i + 1:] if not inline else []:
+                if not below.startswith("# "):
+                    break
+                shown.append(below[2:])
+            if shown:
+                stdin = shlex.split(piped)[0] + "\n" if piped else ""
+                out.append((stdin, shlex.split(args), shown))
+    return out
+
+
+def test_readme_examples_print_what_they_show(capsys, monkeypatch):
+    examples = readme_examples()
+    assert {argv[0] for _, argv, _ in examples} >= {"src-eval", "tgt-eval",
+                                                     "effect"}
+    for stdin, argv, shown in examples:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines(), err) == (0, shown, ""), argv
 
 
 # ------------------------------------------------- concrete syntax round trip
@@ -313,10 +353,30 @@ def test_parse_raises_only_parse_errors(language, text):
 
 def test_numerals_are_ascii_and_convertible():
     assert parse("src", "42") == parse("src", " 42 ")
-    for text in ["²", "٣", "1" * 5000, "\\x:nat. x 1²"]:
+    for text in ["²", "٣", "\\x:nat. x 1²"]:
         for language in ("src", "tgt"):
             with pytest.raises(ParseError):
                 parse(language, text)
+    # numerals of any length, past the digits int() and str() convert
+    for language in ("src", "tgt"):
+        long = parse(language, "1" * 5000)
+        assert long.value == (10 ** 5000 - 1) // 9
+        assert format_expr(long) == "1" * 5000
+
+
+def test_long_numeral_sum_prints(tmp_path, capsys):
+    nines = "9" * 4300
+    f = term_file(tmp_path, f"add {nines} {nines}")
+    code, out, err = run(capsys, "src-eval", f)
+    assert code == 0 and err == ""
+    assert out == "1" + "9" * 4299 + "8\n"  # 4,301 digits
+
+
+def test_builtin_program_end2end_is_a_precondition_failure(tmp_path, capsys):
+    code, out, err = run(capsys, "end2end", term_file(tmp_path, "add 1 2"))
+    assert code == 1 and out == ""
+    assert err == ("precondition violated: source term does not compile: "
+                   "demo builtins have no compilation\n")
 
 
 def test_parse_error_reports_position():

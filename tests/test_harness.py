@@ -20,7 +20,7 @@ from cochoice.harness import (
 from cochoice.parser import parse
 from cochoice.source import src_typecheck
 from cochoice.syntax import (
-    NAT, Num, Var, Lam, App, Choice,
+    NAT, Num, Var, Lam, App, Choice, SrcExpr, TgtExpr,
     TNum, TChoice, TNameAbs, TNameApp, TVar, TLam, TNAT,
     alpha_eq, canon_key, free_vars, name_subst, size_of,
 )
@@ -40,10 +40,9 @@ def closed_compile(e, alpha="a"):
 
 
 def empty_memos(monkeypatch):
-    """Swap both step memos for empty ones, so that no entry of an earlier
+    """Swap the step memo for an empty one, so that no entry of an earlier
     run answers a step."""
     monkeypatch.setattr(source, "_STEPS", {})
-    monkeypatch.setattr(target, "_STEPS", {})
 
 
 # ----------------------------------------------------------------- bisim
@@ -79,6 +78,15 @@ def test_weak_bisim_ok_examples():
 def test_weak_bisim_precondition():
     with pytest.raises(PreconditionViolated):
         check_weak_bisim_pseudo(Var("x"))
+
+
+@pytest.mark.parametrize("check", [check_weak_bisim_pseudo, end_to_end])
+def test_a_builtin_program_fails_the_precondition(check):
+    # typed, but the compiler refuses the builtin
+    e = src("(\\x:nat. add x 1) (3 || 5)")
+    src_typecheck(e)
+    with pytest.raises(PreconditionViolated, match="does not compile"):
+        check(e)
 
 
 def test_weak_bisim_agrees_with_reference():
@@ -161,7 +169,7 @@ def test_non_coordination_agrees_with_reference(seed):
 # Each case plants a fault into ``target.tgt_step_trace``, which every
 # target relation steps by, or into the harness namespace, and checks that
 # the check it targets reports it on a program the check passes unmutated.
-# The step memos are swapped for empty ones, so that the mutated run does
+# The step memo is swapped for an empty one, so that the mutated run does
 # not start from entries of the unmutated one.
 
 def _drop_last_successor(real):
@@ -289,11 +297,10 @@ class CountingMemo(dict):
 
 def test_each_state_is_stepped_once(monkeypatch):
     # subject reduction steps each state; non-coordination after it asks
-    # the target step memo for every state's coordinated and
-    # non-coordinated steps, and every lookup hits: it builds no successor
-    empty_memos(monkeypatch)
+    # the step memo for every state's coordinated and non-coordinated
+    # steps, and every lookup hits: it builds no successor
     memo = CountingMemo()
-    monkeypatch.setattr(target, "_STEPS", memo)
+    monkeypatch.setattr(source, "_STEPS", memo)
     for text in [DEMO, "((1 || 2) || (3 || 4))"]:
         m = closed_compile(src(text))
         memo.lookups = memo.misses = 0
@@ -303,7 +310,7 @@ def test_each_state_is_stepped_once(monkeypatch):
         nc = check_non_coordination(m)
         assert nc.status == OK
         assert 0 < memo.lookups <= 2 * nc.explored and memo.misses == 0
-    assert len(memo) < target._STEP_CACHE_SIZE  # nothing was evicted
+    assert len(memo) < source._STEP_CACHE_SIZE  # nothing was evicted
 
 
 def test_checks_step_by_the_public_relations(monkeypatch):
@@ -326,12 +333,11 @@ def test_checks_step_by_the_public_relations(monkeypatch):
             finally:
                 inside[0] -= 1
         monkeypatch.setattr(harness, name, counted)
-    for mod in (source, target):
-        def step(*args, _real=mod._step):
-            if not inside[0]:
-                outside.append(args[0])
-            return _real(*args)
-        monkeypatch.setattr(mod, "_step", step)
+    def step(*args, _real=source._step):
+        if not inside[0]:
+            outside.append(args[0])
+        return _real(*args)
+    monkeypatch.setattr(source, "_step", step)
     e = src(DEMO)
     m = closed_compile(e)
     check_subject_reduction(m)
@@ -458,76 +464,70 @@ def test_every_cache_is_bounded(monkeypatch):
     assert "effects.deriv" in lru and "compiler.erase" in lru
     assert [name for name, size in lru.items() if size is None] == []
 
-    # The two step memos are LRU tables: run checks over more distinct
-    # terms than their bounds, with the bounds made small, and neither of
-    # them ever holds more.
+    # The step memo is an LRU table: run checks over more distinct terms
+    # of both calculi than its bound, with the bound made small, and it
+    # never holds more.
     bound, default = 32, source._STEP_CACHE_SIZE
-    assert (default, target._STEP_CACHE_SIZE) == (512, 512)
-    memos = {source: set(), target: set()}  # module -> its memo keys met
-    for mod in memos:
-        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", bound)
+    assert default == 1024
+    monkeypatch.setattr(source, "_STEP_CACHE_SIZE", bound)
     empty_memos(monkeypatch)
     sizes = {name: len(t) for name, t in _tables().items()}
-    real_steps = {mod: mod._step for mod in memos}
+    real_step = source._step
+    keys = set()  # the memo keys met
 
-    def bounded_step(mod):
-        def step(*args):
-            out = real_steps[mod](*args)
-            assert len(mod._STEPS) <= bound
-            if mod._STEPS:
-                memos[mod].add(next(reversed(mod._STEPS)))
-            return out
-        return step
+    def bounded_step(*args):
+        out = real_step(*args)
+        assert len(source._STEPS) <= bound
+        if source._STEPS:
+            keys.add(next(reversed(source._STEPS)))
+        return out
 
-    for mod in memos:
-        monkeypatch.setattr(mod, "_step", bounded_step(mod))
+    monkeypatch.setattr(source, "_step", bounded_step)
     programs = [gen_typed_source(i, 5 + i % 26) for i in range(40, 60)]
     bounded = [end_to_end(e) for e in programs]
-    assert all(len(keys) > 4 * bound for keys in memos.values())
-    assert len(source._STEPS) == len(target._STEPS) == bound
+    for calculus in (SrcExpr, TgtExpr):
+        assert sum(isinstance(t, calculus) for t, _ in keys) > 4 * bound
+    assert len(source._STEPS) == bound
 
     grown = {name for name, t in _tables().items() if len(t) > sizes[name]}
-    assert grown <= INTERN_TABLES | {"source._STEPS", "target._STEPS"}
+    assert grown <= INTERN_TABLES | {"source._STEPS"}
 
-    # the bounds change no verdict
-    for mod in memos:
-        monkeypatch.setattr(mod, "_step", real_steps[mod])
-        monkeypatch.setattr(mod, "_STEP_CACHE_SIZE", default)
+    # the bound changes no verdict
+    monkeypatch.setattr(source, "_step", real_step)
+    monkeypatch.setattr(source, "_STEP_CACHE_SIZE", default)
     empty_memos(monkeypatch)
     assert [end_to_end(e) for e in programs] == bounded
 
 
 def test_each_subterm_is_stepped_once(monkeypatch):
     # A state's successors are built from its subterms' successors, which
-    # the step memos return for every subterm stepped before: stepping a
+    # the step memo returns for every subterm stepped before: stepping a
     # successor recurses only along the spine that its step changed.  The
-    # recursive calls of the two step functions, over the checks of the
-    # bisim benchmark workload on acceptance programs 0-39 from empty memos,
-    # repeat exactly.  A state that a check meets again is an outer call
-    # answered from the memo.  Without the memos the same run makes 31,692
-    # and 14,891 recursive calls, for the same 3,562 and 1,713 outer calls.
+    # recursive calls of the step function, counted per calculus over the
+    # checks of the bisim benchmark workload on acceptance programs 0-39
+    # from an empty memo, repeat exactly.  A state that a check meets again
+    # is an outer call answered from the memo.  Without the memo the same
+    # run makes 31,692 and 14,891 recursive calls, for the same 3,562 and
+    # 1,713 outer calls.
     empty_memos(monkeypatch)
-    counts = {source: [0, 0, 0], target: [0, 0, 0]}  # outer, inner, depth
+    counts = {SrcExpr: [0, 0], TgtExpr: [0, 0]}  # outer, inner calls
+    depth = [0]
+    real = source._step
 
-    def counting(mod):
-        real = mod._step
+    def step(m, world):
+        counts[TgtExpr if isinstance(m, TgtExpr) else SrcExpr][
+            depth[0] > 0] += 1
+        depth[0] += 1
+        try:
+            return real(m, world)
+        finally:
+            depth[0] -= 1
 
-        def step(*args):
-            count = counts[mod]
-            count[count[2] > 0] += 1
-            count[2] += 1
-            try:
-                return real(*args)
-            finally:
-                count[2] -= 1
-        return step
-
-    for mod in counts:
-        monkeypatch.setattr(mod, "_step", counting(mod))
+    monkeypatch.setattr(source, "_step", step)
     for i in range(40):
         e = gen_typed_source(i, 5 + i % 26)
         check_strong_bisim(pseudo_compile(e), closed_compile(e, "al"), depth=8)
         check_weak_bisim_pseudo(e, depth=8, fuel=200)
         end_to_end(e, fuel=200)
-    assert counts[source][:2] == [3562, 3926]
-    assert counts[target][:2] == [1713, 2821]
+    assert counts[SrcExpr] == [3562, 3926]
+    assert counts[TgtExpr] == [1713, 2821]

@@ -13,7 +13,7 @@ from cochoice.syntax import (
     Var, App, Lam, Fix, Choice, Num, Add, ADD,
     TVar, TApp, TLam, TNameApp, TNameAbs, TFix, TChoice, TNum,
     SrcExpr, SrcType, TgtExpr, TgtType,
-    is_src_value, is_tgt_value, size_of, free_vars, free_name_vars,
+    TADD, is_answer, is_value, size_of, free_vars, free_name_vars,
     fresh, subst_term, name_subst, alpha_eq, canon_key,
 )
 from cochoice.harness import gen_typed_source
@@ -29,14 +29,23 @@ from oracle import (
 
 
 def test_values():
-    assert is_src_value(Num(3))
-    assert is_src_value(Lam("x", NAT, Var("x")))
-    assert is_src_value(App(ADD, Num(1)))  # partially applied builtin
-    assert not is_src_value(App(Lam("x", NAT, Var("x")), Num(1)))
-    assert not is_src_value(Choice(Num(1), Num(2)))
-    assert is_tgt_value(TNameAbs("al", TNum(7)))
-    assert not is_tgt_value(TNameApp(TNameAbs("al", TNum(7)), ("o",)))
-    assert not is_tgt_value(TChoice(TNum(1), ("o",), TNum(2)))
+    assert is_value(Num(3))
+    assert is_value(Lam("x", NAT, Var("x")))
+    assert is_value(App(ADD, Num(1)))  # partially applied builtin
+    assert not is_value(App(Lam("x", NAT, Var("x")), Num(1)))
+    assert not is_value(Choice(Num(1), Num(2)))
+    assert is_value(TNameAbs("al", TNum(7)))
+    assert is_value(TApp(TADD, TNum(1)))
+    assert not is_value(TNameApp(TNameAbs("al", TNum(7)), ("o",)))
+    assert not is_value(TChoice(TNum(1), ("o",), TNum(2)))
+
+
+def test_answers():
+    # values and choice trees of values, in either calculus
+    assert is_answer(Choice(Num(1), Choice(Lam("x", NAT, Var("x")), Num(2))))
+    assert is_answer(TChoice(TNum(1), ("o",), TNameAbs("al", TNum(7))))
+    assert not is_answer(Choice(Num(1), App(Num(1), Num(2))))
+    assert not is_answer(TChoice(TNum(1), ("o",), TVar("x")))
 
 
 def test_free_vars():

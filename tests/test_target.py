@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cochoice import effects as eff
 from cochoice.effects import EMPTY, Lit, alt, cat, star, lang_eq
-from cochoice.parser import parse, parse_world
+from cochoice.parser import ParseError, parse, parse_world
 from cochoice.printer import format_expr, format_type
 from cochoice.syntax import (
     TNAT, TArrow, TForall,
@@ -21,7 +21,7 @@ from cochoice.target import (
     EffectAlignError, DisjointnessViolation, NonClosedResidual,
     BuiltinRejected, IllFormed, TypeMismatch,
 )
-from cochoice import target
+from cochoice import source
 from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
 from cochoice.source import explore
@@ -243,21 +243,33 @@ def test_delta_monotone():
 def test_parse_world():
     assert parse_world("o b+, o-") == frozenset(
         {(("o", "b"), "+"), (("o",), "-")})
+    assert parse_world("") == parse_world(" , ") == frozenset()
+    assert parse_world("eps+, al o-,") == frozenset(
+        {((), "+"), (("al", "o"), "-")})
 
 
-def dedup(pairs):
-    """The terms of ``(path, term)`` pairs, first of each key, in order."""
-    first = {}
-    for _, t in pairs:
-        first.setdefault(canon_key(t), t)
-    return list(first.values())
+@pytest.mark.parametrize("text, where", [
+    ("o+, b", "1:6: world entry must end in + or -, found end of input"),
+    ("o+, o (+", "1:7: world entry must end in + or -, found '('"),
+    ("o+ b-", "1:4: expected ',', found 'b'"),
+    ("o+,\n -", "2:2: expected a name, found '-'"),
+])
+def test_parse_world_errors_point_into_the_text(text, where):
+    # positions are in the text given, not in one comma-separated entry
+    with pytest.raises(ParseError) as exc:
+        parse_world(text)
+    assert str(exc.value) == where
+
+
+def terms_of(pairs):
+    return [t for _, t in pairs]
 
 
 def test_memoized_steps_agree_with_reference(monkeypatch):
     # every state within three ∅-steps of the first 60 acceptance programs,
     # under ∅ and under a world that names both polarities; the
-    # non-coordinated steps are the reference's without worlds, deduplicated
-    monkeypatch.setattr(target, "_STEPS", {})
+    # non-coordinated steps are the reference's without worlds
+    monkeypatch.setattr(source, "_STEPS", {})
     world = parse_world("o+, o b-, b o+")
     checked = 0
     for i in range(60):
@@ -267,7 +279,7 @@ def test_memoized_steps_agree_with_reference(monkeypatch):
             for delta in (frozenset(), world):
                 assert tgt_step_trace(t, delta) == reference_tgt_step(t, delta), i
             assert tgt_step_nc(t) == \
-                dedup(reference_tgt_step(t, worlds=False)), i
+                terms_of(reference_tgt_step(t, worlds=False)), i
             checked += 1
     assert checked > 150
 
@@ -283,7 +295,7 @@ def test_step_memo_is_not_poisoned():
     assert tgt_step_trace(m, world) == first[:4]
     tgt_step_trace(m, world).clear()
     assert tgt_step_trace(m, world) == first[:4] == reference_tgt_step(m, world)
-    assert tgt_step_nc(m) == dedup(reference_tgt_step(m, worlds=False))
+    assert tgt_step_nc(m) == terms_of(reference_tgt_step(m, worlds=False))
 
 
 def deep_tree():
@@ -329,6 +341,17 @@ def test_nc_successors_subset_of_coordinated(e):
     nc = {canon_key(t) for t in tgt_step_nc(m)}
     coord = {canon_key(t) for t in tgt_step_all(m, frozenset())}
     assert nc <= coord
+
+
+@settings(max_examples=50, deadline=None)
+@given(terms)
+def test_step_all_is_one_term_per_derivation(e):
+    # the coordinated relation keeps the term of every derivation, in order
+    m = name_subst(compile_expr(e, "a", ()), "a", ())
+    world = parse_world("o+, o b-")
+    for t in explore(m, tgt_step_all, depth=2).found.values():
+        assert tgt_step_all(t) == terms_of(tgt_step_trace(t))
+        assert tgt_step_all(t, world) == terms_of(tgt_step_trace(t, world))
 
 
 @settings(max_examples=100, deadline=None)
