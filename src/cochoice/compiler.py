@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import effects as eff
 from .names import OFF, ON, normalize_name
 from .syntax import (
     ADD, Add, App, Arrow, Choice, Fix, Lam, NAT, Nat, Num, SrcExpr, SrcType,
@@ -71,14 +72,13 @@ def _comp(e, alpha, seed, root_alpha, counter):
     raise TypeError(f"not a source expression: {e!r}")
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def compile_type(t: SrcType) -> TgtType:
     counter = [0]
     return _comp_ty(t, counter)
 
 
 def _comp_ty(t, counter):
-    import cochoice.effects as eff
-
     if isinstance(t, Nat):
         return TNAT
     if isinstance(t, Arrow):

@@ -9,6 +9,15 @@ termination of the pairwise fixpoint procedures; ``includes`` and
 ``overlap_witness`` keep their answers in bounded caches.  Every cache here
 is an LRU table of ``_CACHE_SIZE`` entries.
 
+``includes`` takes exact shortcuts before the product search.  While every
+word of the left side starts with one atom ``a``, L(e1) is in L(e2) exactly
+when ``a\\L(e1)`` is in ``a\\L(e2)``, so it derives both sides by ``a``: an
+``EMPTY`` right side then answers False and one object on both sides True.
+A right side ``(a1|...|an)*`` holds the left side when the left side's
+alphabet has no other atom.  The latents of compiled types, ``a . (o|b)*``,
+and the bound ``alpha . seed . (o|b)*`` on a compiled program's effect
+have that shape after their prefix.
+
 Effects are hash-consed (``node.Interned``): building an effect equal to
 one built before returns that object, so equal effects are one object, a
 cache hashes an effect by a slot read and compares it by identity, and the
@@ -109,6 +118,8 @@ def alt(*effs: Effect) -> Effect:
             continue
         else:
             parts.append(e)
+    if len(parts) == 1:
+        return parts[0]
     uniq = sorted(set(parts), key=_order)
     if not uniq:
         return EMPTY
@@ -179,9 +190,11 @@ def is_closed(e: Effect) -> bool:
 
 
 def effect_subst(e: Effect, alpha: str, phi) -> Effect:
-    """Substitute the word ``phi`` for the variable atom ``alpha``; re-canonicalizes."""
-    if isinstance(e, Empty):
-        return EMPTY
+    """Substitute the word ``phi`` for the variable atom ``alpha``; re-canonicalizes.
+
+    An effect without ``alpha`` is returned as it is."""
+    if alpha not in alphabet(e):
+        return e
     if isinstance(e, Lit):
         return Lit(word_subst(e.word, alpha, phi))
     if isinstance(e, Cat):
@@ -253,10 +266,40 @@ def inclusion_witness(e1: Effect, e2: Effect):
     return _product_witness(e1, e2, sorted(alphabet(e1) | alphabet(e2)), False)
 
 
+def _star_atoms(e: Effect):
+    """The atoms ``a1 .. an`` when ``e`` is ``(a1|...|an)*``, else None."""
+    if not isinstance(e, Star):
+        return None
+    parts = e.inner.parts if isinstance(e.inner, Alt) else (e.inner,)
+    if all(isinstance(p, Lit) and len(p.word) == 1 for p in parts):
+        return frozenset(p.word[0] for p in parts)
+    return None
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def includes(e1: Effect, e2: Effect) -> bool:
-    """True iff L(e1) is a subset of L(e2)."""
+    """True iff L(e1) is a subset of L(e2).
+
+    While every word of ``e1`` starts with one atom ``a``, the question is
+    the same for ``a\\e1`` and ``a\\e2``: it is False once ``a\\e2`` is
+    ``EMPTY`` and True once the two are one object.  A right side
+    ``(a1|...|an)*`` includes ``e1`` when ``alphabet(e1)`` holds no other
+    atom.  What is left goes to the product search.
+    """
     if e1 is e2 or is_empty_lang(e1):
+        return True
+    while not nullable(e1):
+        first = first_atoms(e1)
+        if len(first) != 1:
+            break
+        (a,) = first
+        e1, e2 = deriv(e1, a), deriv(e2, a)
+        if e2 is EMPTY:
+            return False
+        if e1 is e2:
+            return True
+    atoms = _star_atoms(e2)
+    if atoms is not None and alphabet(e1) <= atoms:
         return True
     return inclusion_witness(e1, e2) is None
 

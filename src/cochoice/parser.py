@@ -15,6 +15,7 @@ Python's recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import wraps
@@ -40,10 +41,21 @@ class ParseError(Exception):
 
 MAX_NESTING = 150  # levels; a level costs the parser up to five Python frames
 
-_SYMBOLS = ["/\\", "||", "-{", "->", "\\", "(", ")", "{", "}", ":", ".",
-            "@", "+", "*", ",", "-"]
 _KEYWORDS = {"fix", "all", "nat", "add", "o", "b", "eps"}
-_DIGITS = "0123456789"  # numerals are ASCII; str.isdigit also accepts '²'
+
+# One token per match, tried in this order. Symbols are listed longest
+# first where one begins another. Numerals are ASCII digits (``\d`` and
+# ``str.isdigit`` also accept '٣' and '²'). An identifier is a run of
+# ``\w`` (``str.isalnum`` or '_') and "'"; its first character must also
+# be a letter or '_', which ``_tokenize`` checks. Any other character is
+# an error.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<sym>/\\|\|\||-\{|->|[\\(){}:.@+*,-])
+  | (?P<num>[0-9]+)
+  | (?P<ident>\w[\w']*)
+  | (?P<error>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass
@@ -57,48 +69,25 @@ class _Tok:
 
 def _tokenize(text: str):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            if c == "\n":
-                line += 1
-                col = 1
+    line, col = 1, 1
+    for m in _TOKEN.finditer(text):
+        kind, word, i = m.lastgroup, m.group(), m.start()
+        if kind == "space":
+            breaks = word.count("\n")
+            if breaks:
+                line += breaks
+                col = len(word) - word.rfind("\n")
             else:
-                col += 1
-            i += 1
+                col += len(word)
             continue
-        hit = None
-        for s in _SYMBOLS:
-            if text.startswith(s, i):
-                hit = s
-                break
-        if hit:
-            toks.append(_Tok("sym", hit, i, line, col))
-            i += len(hit)
-            col += len(hit)
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Tok("num", text[i:j], i, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            toks.append(_Tok("kw" if word in _KEYWORDS else "ident",
-                             word, i, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i, line, col)
-    toks.append(_Tok("eof", "", n, line, col))
+        if kind == "error" or (kind == "ident" and not (word[0].isalpha()
+                                                        or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", i, line, col)
+        if kind == "ident" and word in _KEYWORDS:
+            kind = "kw"
+        toks.append(_Tok(kind, word, i, line, col))
+        col += len(word)
+    toks.append(_Tok("eof", "", len(text), line, col))
     return toks
 
 

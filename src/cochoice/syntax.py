@@ -362,47 +362,80 @@ def _union(table: list, keys) -> frozenset:
 
 def _bind(k: int, x: str, names: bool) -> int:
     """Key ``k`` with the free term variable ``x`` (a name variable when
-    ``names``) bound by a binder just above it."""
-    return _close(k, x, 0, names, {})
-
-
-def _close(k, x, d, names, memo):
-    if x not in (_NAMES if names else _TERMS)[k]:
+    ``names``) bound by a binder just above it: each occurrence of ``x``
+    becomes the index of its binder.  The walk is post-order from an
+    explicit stack, visits only keys in which ``x`` is free, and builds
+    each ``(key, depth)`` once."""
+    table = _NAMES if names else _TERMS
+    if x not in table[k]:
         return k
-    out = memo.get((k, d))
-    if out is not None:
-        return out
-    node = _NODES[k]
-    tag = node[0]
-    if tag in _LEAVES:  # a Var or TVar leaf, or an nf leaf when names
-        out = _intern(("nb" if names else "bv", d))
-    else:
+    memo = {}  # (key, binder depth) -> key with x bound
+    stack = [(k, 0)]
+    while stack:
+        k1, d = stack[-1]
+        if (k1, d) in memo:
+            stack.pop()
+            continue
+        node = _NODES[k1]
+        tag = node[0]
+        if tag in _LEAVES:  # a Var or TVar leaf, or an nf leaf when names
+            memo[k1, d] = _intern(("nb" if names else "bv", d))
+            stack.pop()
+            continue
         if names:
             inner = d + 1 if tag in _NAME_BINDERS else d
-            kids = [_close(c, x, inner, True, memo) for c in node[1:]]
+            kids = [(c, inner) for c in node[1:]]
         else:
-            kids = [_close(c, x, d, False, memo) for c in node[1:-1]]
-            kids.append(_close(node[-1], x, d + 1 if tag in _TERM_BINDERS else d,
-                               False, memo))
+            kids = [(c, d) for c in node[1:-1]]
+            kids.append((node[-1], d + 1 if tag in _TERM_BINDERS else d))
+        out = []
+        for c, cd in kids:
+            if x not in table[c]:
+                out.append(c)
+            elif (c, cd) in memo:
+                out.append(memo[c, cd])
+            else:
+                stack.append((c, cd))
+        if len(out) < len(kids):
+            continue  # built when the children pushed above are
         if tag == "alt":
-            kids.sort()
-        out = _intern((tag, *kids))
-    memo[k, d] = out
-    return out
+            out.sort()
+        memo[k1, d] = _intern((tag, *out))
+        stack.pop()
+    return memo[k, 0]
 
 
 def _key(x) -> int:
     try:
         return x._key
     except AttributeError:
-        pass
-    build = _BUILD.get(type(x))
-    if build is None:
+        return _build(x)
+
+
+def _build(x) -> int:
+    """Key ``x``, whose slot is empty, and every node below it without one.
+
+    The children are keyed first, from an explicit stack, so that no depth
+    recurses.  A build that meets a child without a key fails on reading
+    its slot; the failed read names that child (``AttributeError.obj``),
+    which is built first and the build tried again.
+    """
+    if type(x) not in _BUILD:
         if isinstance(x, tuple):
             return _name_key(x)
         raise TypeError(f"cannot canonicalize: {x!r}")
-    k = build(x)
-    object.__setattr__(x, "_key", k)
+    stack = [x]
+    while stack:
+        node = stack[-1]
+        try:
+            k = _BUILD[type(node)](node)
+        except AttributeError as exc:
+            if exc.name != "_key" or type(exc.obj) not in _BUILD:
+                raise
+            stack.append(exc.obj)
+            continue
+        object.__setattr__(node, "_key", k)
+        stack.pop()
     return k
 
 
@@ -419,7 +452,7 @@ def canon_key(x) -> int:
         k = x._key
     except AttributeError:
         _CALLS[1] += 1
-        return _key(x)
+        return _build(x)
     _CALLS[0] += 1
     return k
 
@@ -455,11 +488,11 @@ def _items(e) -> tuple:
     """The flattened item list of an effect: atoms, alternations, stars."""
     if isinstance(e, eff.Empty):
         return (_intern(("Empty",)),)
-    return _NODES[_key(e)][1:]
+    return _NODES[e._key][1:]
 
 
 def _term_binder(tag):
-    return lambda n: _intern((tag, _key(n.ann), _bind(_key(n.body), n.var, False)))
+    return lambda n: _intern((tag, n.ann._key, _bind(n.body._key, n.var, False)))
 
 
 _BUILD = {
@@ -467,28 +500,28 @@ _BUILD = {
     eff.Lit: lambda e: _intern(("cat", *map(_atom_key, e.word))),
     eff.Cat: lambda e: _intern(("cat", *_items(e.left), *_items(e.right))),
     eff.Alt: lambda e: _intern(
-        ("cat", _intern(("alt", *sorted(_key(p) for p in e.parts))))),
-    eff.Star: lambda e: _intern(("cat", _intern(("star", _key(e.inner))))),
+        ("cat", _intern(("alt", *sorted(p._key for p in e.parts))))),
+    eff.Star: lambda e: _intern(("cat", _intern(("star", e.inner._key)))),
     Nat: lambda t: _intern(("Nat",)),
     TNat: lambda t: _intern(("TNat",)),
-    Arrow: lambda t: _intern(("Arrow", _key(t.arg), _key(t.res))),
+    Arrow: lambda t: _intern(("Arrow", t.arg._key, t.res._key)),
     TArrow: lambda t: _intern(
-        ("TArrow", _key(t.arg), _key(t.latent), _key(t.res))),
-    TForall: lambda t: _intern(("TForall", _bind(_key(t.latent), t.var, True),
-                                _bind(_key(t.body), t.var, True))),
+        ("TArrow", t.arg._key, t.latent._key, t.res._key)),
+    TForall: lambda t: _intern(("TForall", _bind(t.latent._key, t.var, True),
+                                _bind(t.body._key, t.var, True))),
     Var: lambda e: _intern(("Var", e.name)),
     TVar: lambda m: _intern(("TVar", m.name)),
     Num: lambda e: _intern(("Num", e.value)),
     TNum: lambda m: _intern(("TNum", m.value)),
     Add: lambda e: _intern(("Add",)),
     TAdd: lambda m: _intern(("TAdd",)),
-    App: lambda e: _intern(("App", _key(e.fn), _key(e.arg))),
-    TApp: lambda m: _intern(("TApp", _key(m.fn), _key(m.arg))),
-    Choice: lambda e: _intern(("Choice", _key(e.left), _key(e.right))),
+    App: lambda e: _intern(("App", e.fn._key, e.arg._key)),
+    TApp: lambda m: _intern(("TApp", m.fn._key, m.arg._key)),
+    Choice: lambda e: _intern(("Choice", e.left._key, e.right._key)),
     TChoice: lambda m: _intern(
-        ("TChoice", _key(m.left), _name_key(m.name), _key(m.right))),
-    TNameApp: lambda m: _intern(("TNameApp", _key(m.fn), _name_key(m.name))),
-    TNameAbs: lambda m: _intern(("TNameAbs", _bind(_key(m.body), m.var, True))),
+        ("TChoice", m.left._key, _name_key(m.name), m.right._key)),
+    TNameApp: lambda m: _intern(("TNameApp", m.fn._key, _name_key(m.name))),
+    TNameAbs: lambda m: _intern(("TNameAbs", _bind(m.body._key, m.var, True))),
     Lam: _term_binder("Lam"),
     Fix: _term_binder("Fix"),
     TLam: _term_binder("TLam"),

@@ -8,11 +8,22 @@ inferred effect is kept in prefix normal form (a literal/variable prefix
 followed by a closed regular effect), rule instances align their operands on
 a longest common prefix, and all side conditions are discharged by the
 regular-language decision procedures.
+
+The checker reuses what it has.  ``effect_pnf`` reads a literal head off
+the structure of the effect, and derives atom by atom only past it.
+Subtyping two quantified types aligns their binders instead of renaming
+both.  It compares them as they are when they bind one variable, and
+renames the left binder to the right one when that variable is not free on
+the left.  Only otherwise does it rename both to a fresh variable.  The
+answer is the same in each case, since inclusion and subtyping do not
+change under a renaming of free name variables that is one to one.  An
+environment carries its set of name variables, so a well-formedness check
+reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import effects as eff, source
@@ -70,15 +81,20 @@ class IllFormed(TgtTypeError):
 
 @dataclass(frozen=True)
 class TargetEnv:
-    """An ordered environment of name variables and typed term variables."""
+    """An ordered environment of name variables and typed term variables.
+
+    ``names`` is the set of name variables in ``entries``, kept as the
+    environment grows, so a well-formedness check reads it, not rebuilds it.
+    """
 
     entries: tuple = ()
+    names: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def push_name(self, alpha: str) -> "TargetEnv":
-        return TargetEnv(self.entries + (("name", alpha),))
+        return TargetEnv(self.entries + (("name", alpha),), self.names | {alpha})
 
     def push_term(self, x: str, t: TgtType) -> "TargetEnv":
-        return TargetEnv(self.entries + (("term", x, t),))
+        return TargetEnv(self.entries + (("term", x, t),), self.names)
 
     def lookup(self, x: str):
         for entry in reversed(self.entries):
@@ -87,20 +103,18 @@ class TargetEnv:
         return None
 
     def has_name(self, alpha: str) -> bool:
-        return ("name", alpha) in self.entries
+        return alpha in self.names
 
     def bound_names(self) -> frozenset:
-        return frozenset(e[1] for e in self.entries if e[0] == "name")
+        return self.names
 
 
 def wf_check(env: TargetEnv, entity) -> bool:
     """Well-formedness of a name, effect or target type in ``env``."""
     if isinstance(entity, tuple):
-        bound = env.bound_names()
-        return all(v in bound for v in name_vars(entity))
+        return name_vars(entity) <= env.names
     if isinstance(entity, eff.Effect):
-        bound = env.bound_names()
-        return all(v in bound for v in eff.effect_vars(entity))
+        return eff.effect_vars(entity) <= env.names
     if isinstance(entity, TNat):
         return True
     if isinstance(entity, TArrow):
@@ -125,12 +139,18 @@ def subtype(t1: TgtType, t2: TgtType) -> bool:
                 and eff.includes(t1.latent, t2.latent)
                 and subtype(t1.res, t2.res))
     if isinstance(t1, TForall) and isinstance(t2, TForall):
-        g = fresh("g", free_name_vars(t1) | free_name_vars(t2)
-                  | {t1.var, t2.var})
-        l1 = name_subst(t1.latent, t1.var, (g,))
-        l2 = name_subst(t2.latent, t2.var, (g,))
-        b1 = name_subst(t1.body, t1.var, (g,))
-        b2 = name_subst(t2.body, t2.var, (g,))
+        l1, b1, l2, b2 = t1.latent, t1.body, t2.latent, t2.body
+        if t1.var != t2.var:
+            # align the binders: rename the left one to the right one when
+            # that captures nothing, else both to a fresh variable
+            g = t2.var
+            if g in free_name_vars(t1):
+                g = fresh("g", free_name_vars(t1) | free_name_vars(t2)
+                          | {t1.var, t2.var})
+                l2 = name_subst(l2, t2.var, (g,))
+                b2 = name_subst(b2, t2.var, (g,))
+            l1 = name_subst(l1, t1.var, (g,))
+            b1 = name_subst(b1, t1.var, (g,))
         return eff.includes(l1, l2) and subtype(b1, b2)
     return False
 
@@ -202,13 +222,30 @@ def effect_pnf(e: eff.Effect) -> EffectPNF:
     """Extract the maximal forced prefix of ``e``; the residual must be closed.
 
     An atom is forced when every word of the language starts with it; forced
-    atoms (including name variables) are peeled into the prefix by
-    derivation.  Raises ``NonClosedResidual`` if name variables survive into
-    the residual.  Results are cached, boundedly, on the effect's id.
+    atoms (including name variables) are peeled into the prefix.  A literal
+    head gives up its whole word at once: ``Lit(w)`` leaves ``eps``, and
+    ``Cat(Lit(w), r)`` leaves ``r``, which is the derivative by ``w``
+    unless ``r`` itself starts with a literal that ``cat`` would merge;
+    then one atom is peeled, by ``cat``, as the derivative does.  Past the
+    literals, each forced atom is peeled by derivation.  Raises
+    ``NonClosedResidual`` if name variables survive into the residual.
+    Results are cached, boundedly, on the effect's id.
     """
     if eff.is_empty_lang(e):
         return BOTTOM
     prefix = []
+    while isinstance(e, eff.Cat) and isinstance(e.left, eff.Lit) and e.left.word:
+        word, rest = e.left.word, e.right
+        if isinstance(rest, eff.Lit) or (isinstance(rest, eff.Cat)
+                                         and isinstance(rest.left, eff.Lit)):
+            prefix.append(word[0])
+            e = eff.cat(eff.Lit(word[1:]), rest)
+        else:
+            prefix.extend(word)
+            e = rest
+    if isinstance(e, eff.Lit):
+        prefix.extend(e.word)
+        e = eff.EPS_EFF
     while not eff.nullable(e):
         first = eff.first_atoms(e)
         if len(first) != 1:

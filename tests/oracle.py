@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to cross-check the effect
 decision procedures, the prefix normal form, the alpha-equivalence keys,
-one-step reduction in both calculi, term and name substitution and the weak
-bisimulation and non-coordination checks, plus a deterministic
-random-effect generator."""
+one-step reduction in both calculi, term and name substitution, subtyping,
+the tokenizer and the weak bisimulation and non-coordination checks, plus a
+deterministic random-effect generator."""
 
 from cochoice import effects as eff
 from cochoice.compiler import pseudo_compile
@@ -10,6 +10,7 @@ from cochoice.harness import (
     COUNTEREXAMPLE, FUEL_EXHAUSTED, OK, CheckReport, PreconditionViolated,
 )
 from cochoice.names import is_name_var, name_vars, normalize_name, word_subst
+from cochoice.parser import ParseError, _Tok
 from cochoice.printer import format_effect
 from cochoice.syntax import (
     Add, App, Arrow, Choice, Fix, Lam, Nat, Num, SrcExpr, TAdd, TApp, TArrow,
@@ -593,3 +594,87 @@ def _ref_nsubst_expr(m, alpha, phi):
             m = TNameAbs(g, _ref_nsubst_expr(m.body, m.var, (g,)))
         return TNameAbs(m.var, _ref_nsubst_expr(m.body, alpha, phi))
     raise TypeError(f"not a target expression: {m!r}")
+
+
+# ---------------------------------------------------------------------------
+# subtyping that renames both quantifiers: the rule that target.subtype's
+# binder alignment replaced, with latent inclusion decided by the product
+# search alone, so that neither of includes' shortcuts is used
+
+
+def reference_subtype(t1, t2):
+    """``t1 <: t2``, renaming the binders of two quantified types whose
+    keys differ to one variable fresh for both."""
+    if canon_key(t1) == canon_key(t2):
+        return True
+    if isinstance(t1, TArrow) and isinstance(t2, TArrow):
+        return (reference_subtype(t2.arg, t1.arg)
+                and eff.inclusion_witness(t1.latent, t2.latent) is None
+                and reference_subtype(t1.res, t2.res))
+    if isinstance(t1, TForall) and isinstance(t2, TForall):
+        g = fresh("g", free_name_vars(t1) | free_name_vars(t2)
+                  | {t1.var, t2.var})
+        l1 = name_subst(t1.latent, t1.var, (g,))
+        l2 = name_subst(t2.latent, t2.var, (g,))
+        b1 = name_subst(t1.body, t1.var, (g,))
+        b2 = name_subst(t2.body, t2.var, (g,))
+        return (eff.inclusion_witness(l1, l2) is None
+                and reference_subtype(b1, b2))
+    return False
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer that tries every symbol at every character: the scanner that
+# parser._tokenize's one compiled pattern replaced
+
+_REF_SYMBOLS = ["/\\", "||", "-{", "->", "\\", "(", ")", "{", "}", ":", ".",
+                "@", "+", "*", ",", "-"]
+_REF_KEYWORDS = {"fix", "all", "nat", "add", "o", "b", "eps"}
+_REF_DIGITS = "0123456789"  # numerals are ASCII; str.isdigit also accepts '²'
+
+
+def reference_tokenize(text: str):
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            if c == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+            continue
+        hit = None
+        for s in _REF_SYMBOLS:
+            if text.startswith(s, i):
+                hit = s
+                break
+        if hit:
+            toks.append(_Tok("sym", hit, i, line, col))
+            i += len(hit)
+            col += len(hit)
+            continue
+        if c in _REF_DIGITS:
+            j = i
+            while j < n and text[j] in _REF_DIGITS:
+                j += 1
+            toks.append(_Tok("num", text[i:j], i, line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            toks.append(_Tok("kw" if word in _REF_KEYWORDS else "ident",
+                             word, i, line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i, line, col)
+    toks.append(_Tok("eof", "", n, line, col))
+    return toks

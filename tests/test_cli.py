@@ -1,5 +1,6 @@
 """Command-line interface and concrete syntax round trips."""
 
+import ast
 import io
 import random
 import re
@@ -12,10 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from cochoice.cli import main
 from cochoice.compiler import compile_expr
 from cochoice.harness import gen_typed_source
-from cochoice.parser import ParseError, parse
+from cochoice.parser import ParseError, _tokenize, parse
 from cochoice.printer import format_expr, format_type, format_effect
-from cochoice.syntax import TNAT, TArrow, TForall, alpha_eq, name_subst
-from oracle import random_effect
+from cochoice.syntax import TNAT, TArrow, TForall, alpha_eq, name_subst, size_of
+from oracle import random_effect, reference_tokenize
 
 
 def run(capsys, *argv):
@@ -349,6 +350,61 @@ def test_parse_raises_only_parse_errors(language, text):
         parse(language, text)
     except ParseError:
         pass
+
+
+def same_tokens(text):
+    """The one-pattern tokenizer and the symbol-by-symbol one give equal
+    tokens, or raise equal errors."""
+    try:
+        want = reference_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert got.value == exc
+    else:
+        assert _tokenize(text) == want
+
+
+def _test_strings():
+    """Every string literal of the test files: the parse examples among
+    them, and much other text."""
+    out = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        out.update(node.value for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return sorted(out)
+
+
+def test_tokenizer_agrees_with_reference():
+    examples = _test_strings()
+    assert len(examples) > 300
+    for text in examples:
+        same_tokens(text)
+    # the first programs of the translate benchmark's seed-0 corpus (size
+    # budget 240, at least 120 nodes), printed in both calculi
+    programs, g = [], 0
+    while len(programs) < 30:
+        e = gen_typed_source(g, 240)
+        if size_of(e) >= 120:
+            programs.append(e)
+        g += 1
+    for e in programs:
+        m = compile_expr(e, "al", ("b", "o"))
+        for text in (format_expr(e), format_expr(m), "\n".join(
+                [format_expr(e), format_expr(m)]) + "\r\n"):
+            same_tokens(text)
+    for text in ["²", "٣", "x²", "x٣ y", "1²", "#", "|", "a | b", "/", "/\\",
+                 "-", "->", "-{", "-}", "(1 ||\r\n 2)", "\r\r\n\t x",
+                 "é", "\\é:nat. é", "x'' _y1", "eps o b12 ob", "", " ",
+                 "\n\n  \u00a0"]:
+        same_tokens(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SYNTAX | st.characters(), max_size=30).map("".join))
+@example("a\r\n²")
+def test_tokenizer_agrees_with_reference_on_any_text(text):
+    same_tokens(text)
 
 
 def test_numerals_are_ascii_and_convertible():

@@ -339,3 +339,82 @@ def test_subst_commutes_with_language(e, phi):
     }
     for w in expected:
         assert member(w, s)
+
+
+# ------------------------------------------- shortcuts of the exact procedures
+
+RESIDUALS = [star(alt(O, B)), alt(O, B), O, EPS_EFF, star(O), alt(AL, O),
+             cat(star(O), B), Cat(Lit(()), star(B)), Cat(O, Lit(("b",))),
+             Cat(Lit(("al",)), Cat(Lit(()), O)), EMPTY, Cat(O, EMPTY)]
+
+
+def test_prefix_form_of_literal_heads_built_raw():
+    # literal heads read off the structure give the prefix and residual
+    # that peeling atom by atom gives, on effects the smart constructors
+    # would have merged: literal after literal, an empty literal, a name
+    # variable first, an empty right side
+    heads = [("o",), ("al",), ("al", "o", "b"), ("b", "al")]
+    for w in heads:
+        for r in RESIDUALS:
+            for v in [(), ("o",), ("al", "b")]:
+                for e in [Lit(w), Cat(Lit(w), r), Cat(Lit(w), Cat(Lit(v), r)),
+                          Cat(Lit(()), Cat(Lit(w), r)),
+                          Cat(Lit(w), Cat(Lit(v), Cat(Lit(w), r))),
+                          Cat(Lit(w), Cat(Cat(Lit(v), r), B)),
+                          Cat(Lit(w), Lit(v)), Cat(Lit(w), Alt((Lit(v), r)))]:
+                    assert_agrees_with_derivative_search(e)
+
+
+raw_heads = st.lists(
+    st.tuples(st.lists(st.sampled_from(["o", "b", "al"]), max_size=3).map(tuple),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200)
+@given(raw_heads, st.integers(0, 10**6))
+def test_prefix_form_of_random_literal_chains(pieces, seed):
+    # Cat(Lit(w1), Cat(Lit(w2), ... r)) built raw, some links replaced by a
+    # random effect
+    e = random_effect(random.Random(seed), 4, atoms=("o", "b"))
+    for w, roll in reversed(pieces):
+        e = Cat(Lit(w), e) if roll % 4 else Cat(random_effect(
+            random.Random(roll), 2, atoms=("o", "b")), e)
+    assert_agrees_with_derivative_search(e)
+
+
+def star_of(atoms):
+    return star(alt(*(Lit((a,)) for a in atoms)))
+
+
+forced_pairs = st.tuples(
+    st.lists(st.sampled_from(["o", "b", "al"]), max_size=4).map(tuple),
+    st.lists(st.sampled_from(["o", "b", "al"]), max_size=4).map(tuple),
+    st.sets(st.sampled_from(["o", "b", "al", "be"]), min_size=1),
+    st.integers(0, 10**6), st.booleans())
+
+
+@settings(max_examples=300)
+@given(forced_pairs)
+def test_includes_shortcuts_agree_with_product_search(pair):
+    # a forced prefix on the left, ``prefix . (a1|...|an)*`` on the right,
+    # where the left may hold atoms outside the star's alphabet
+    w1, w2, atoms, seed, raw = pair
+    rng = random.Random(seed)
+    body = random_effect(rng, rng.randrange(1, 8), atoms=("o", "b", "al", "be"))
+    e1 = Cat(Lit(w1), body) if raw and w1 else cat(Lit(w1), body)
+    for e2 in [cat(Lit(w2), star_of(atoms)), cat(Lit(w1), star_of(atoms)),
+               star_of(atoms), cat(Lit(w1), body), cat(Lit(w1 + w2), body),
+               Cat(Lit(w1), star_of(atoms))]:
+        assert includes(e1, e2) == (inclusion_witness(e1, e2) is None)
+
+
+def test_includes_shortcuts_answer_both_ways():
+    bound = cat(Lit(("al", "b", "o")), star_of("ob"))
+    assert includes(cat(Lit(("al", "b", "o", "o")), star(B)), bound)
+    assert includes(Cat(Lit(("al",)), Cat(Lit(("b", "o")), alt(O, star(B)))), bound)
+    assert not includes(cat(Lit(("al", "b")), star(B)), bound)      # too short
+    assert not includes(cat(Lit(("al", "b", "o")), star(AL)), bound)  # al in the tail
+    assert not includes(cat(Lit(("al", "o")), O), bound)            # parts at once
+    assert includes(cat(Lit(("al", "b", "o")), Cat(AL, EMPTY)), bound)
+    assert includes(cat(O, alt(star(O), B)), alt(cat(O, alt(star(O), B)), AL))

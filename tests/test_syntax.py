@@ -499,3 +499,41 @@ def test_deep_terms_hash_and_compare_without_recursion():
     assert a == b and a != deep(1999)
     assert TChoice(TNum(1), ("o",), TNum(2)) == TChoice(TNum(1), ("o",), TNum(2))
     assert TChoice(TNum(1), ("o",), TNum(2)) != TChoice(TNum(1), ("b",), TNum(2))
+
+
+def test_deep_terms_key_without_recursion():
+    # keys and the free variables read from them are built from a stack:
+    # 2,000-deep spines of each shape, and binders over 2,000-deep bodies
+    # whose bound variable sits at the bottom (substitution still recurses,
+    # so the renamed bodies are built apart)
+    def spine(n, shape, x):
+        node, var = shape
+        t = var(x)
+        for i in range(n):
+            t = node(t, i, var(x))
+        return t
+
+    shapes = [
+        (lambda t, i, v: Choice(t, Num(i)), Var),
+        (lambda t, i, v: TChoice(TNum(i), ("o",) * (i % 3), t), TVar),
+        (lambda t, i, v: App(t, v), Var),
+        (lambda t, i, v: TApp(v, t), TVar),
+    ]
+    for shape in shapes:
+        t = spine(2000, shape, "x")
+        assert free_vars(t) == {"x"}
+        assert alpha_eq(t, spine(2000, shape, "x"))
+        assert not alpha_eq(t, spine(2000, shape, "y"))
+        assert canon_key(t) != canon_key(spine(1999, shape, "x"))
+        src = isinstance(t, SrcExpr)
+        binder, ann = (Lam, NAT) if src else (TLam, TNAT)
+        lam = binder("x", ann, t)
+        assert free_vars(lam) == set()
+        assert alpha_eq(lam, binder("z", ann, spine(2000, shape, "z")))
+        assert not alpha_eq(lam, binder("z", ann, spine(2000, shape, "x")))
+    named = [TNum(0), TNum(0)]
+    for i in range(2000):
+        named = [TChoice(TNum(i), (a, "o"), t) for a, t in zip("ac", named)]
+    assert free_name_vars(named[0]) == {"a"}
+    assert free_name_vars(TNameAbs("a", named[0])) == set()
+    assert alpha_eq(TNameAbs("a", named[0]), TNameAbs("c", named[1]))

@@ -1,6 +1,8 @@
 """Coordinated calculus: effect typing, prefix normal forms, and stepping
 under choice worlds."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from cochoice.printer import format_expr, format_type
 from cochoice.syntax import (
     TNAT, TArrow, TForall,
     TVar, TApp, TLam, TNameApp, TNameAbs, TChoice, TNum,
-    alpha_eq, canon_key,
+    alpha_eq, canon_key, free_name_vars,
 )
 from cochoice.target import (
     TargetEnv, wf_check, subtype, type_join, type_meet,
@@ -22,11 +24,11 @@ from cochoice.target import (
     BuiltinRejected, IllFormed, TypeMismatch,
 )
 from cochoice import source
-from cochoice.compiler import compile_expr
+from cochoice.compiler import compile_expr, compile_type
 from cochoice.harness import gen_typed_source
-from cochoice.source import explore
-from cochoice.syntax import name_subst
-from oracle import reference_tgt_step
+from cochoice.source import explore, src_typecheck
+from cochoice.syntax import NAT, Arrow, name_subst
+from oracle import random_effect, reference_subtype, reference_tgt_step
 
 O = Lit(("o",))
 B = Lit(("b",))
@@ -59,6 +61,25 @@ def test_subtype():
         TForall("al", Lit(("al",)), TNAT),
         TForall("be", alt(Lit(("be",)), O), TNAT),
     )
+
+
+def test_subtype_aligns_binders_without_capture():
+    # the binders agree; the right one is not free on the left, so the left
+    # one is renamed to it; it is free there, so both go to a fresh one
+    same = TForall("a", Lit(("a", "o")), TNAT)
+    assert subtype(same, TForall("a", alt(Lit(("a", "o")), B), TNAT))
+    assert subtype(TForall("c", Lit(("c", "o")), TNAT),
+                   TForall("a", alt(Lit(("a", "o")), B), TNAT))
+    # c is free on the left: renaming a to c there would capture it
+    free_c = TForall("a", Lit(("c",)), TNAT)
+    bound_c = TForall("c", Lit(("c",)), TNAT)
+    assert not subtype(free_c, bound_c) and not subtype(bound_c, free_c)
+    # under a nested binder of the same name the left one is renamed apart
+    nested = TForall("a", Lit(("a",)), TForall("c", Lit(("a", "c")), TNAT))
+    assert subtype(nested, TForall("c", Lit(("c",)),
+                                   TForall("a", Lit(("c", "a")), TNAT)))
+    assert not subtype(nested, TForall("c", Lit(("c",)),
+                                       TForall("a", Lit(("a", "c")), TNAT)))
 
 
 def test_type_join_and_meet():
@@ -359,3 +380,101 @@ def test_step_all_is_one_term_per_derivation(e):
 def test_target_print_parse_round_trip(e):
     m = compile_expr(e, "a", ())
     assert alpha_eq(tgt(format_expr(m)), m)
+
+
+# ---------------------------------------------------- subtyping, differential
+
+NAME_VARS = ("a", "c", "g")
+
+
+def random_tgt_type(rng, depth):
+    """A target type whose quantifiers bind a, c or g, with random latents
+    over o, b and those variables, bound or free."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return TNAT
+    latent = random_effect(rng, rng.randrange(1, 5), atoms=("o", "b") + NAME_VARS)
+    if roll < 0.55:
+        return TArrow(random_tgt_type(rng, depth - 1), latent,
+                      random_tgt_type(rng, depth - 1))
+    return TForall(rng.choice(NAME_VARS), latent, random_tgt_type(rng, depth - 1))
+
+
+def variant(rng, t):
+    """``t`` with some quantifiers rebound to another of a, c and g (renamed
+    consistently, or not, which frees the old variable and captures the new
+    one) and some latents widened or replaced."""
+    if isinstance(t, TArrow):
+        latent, roll = t.latent, rng.random()
+        if roll < 0.3:
+            latent = alt(latent, random_effect(rng, 2, atoms=("o", "b") + NAME_VARS))
+        elif roll < 0.4:
+            latent = random_effect(rng, 3, atoms=("o", "b") + NAME_VARS)
+        return TArrow(variant(rng, t.arg), latent, variant(rng, t.res))
+    if isinstance(t, TForall):
+        var, latent, body = t.var, t.latent, variant(rng, t.body)
+        roll = rng.random()
+        if roll < 0.6:
+            var = rng.choice(NAME_VARS)
+            latent = name_subst(latent, t.var, (var,))
+            body = name_subst(body, t.var, (var,))
+        elif roll < 0.7:
+            var = rng.choice(NAME_VARS)
+        elif roll < 0.85:
+            latent = alt(latent, random_effect(rng, 2, atoms=("o", "b", t.var)))
+        return TForall(var, latent, body)
+    return t
+
+
+def random_src_type(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return NAT
+    return Arrow(random_src_type(rng, depth - 1), random_src_type(rng, depth - 1))
+
+
+def agree_on_subtype(t1, t2):
+    """Binder alignment answers as renaming both sides does, both ways."""
+    got = subtype(t1, t2), subtype(t2, t1)
+    assert got == (reference_subtype(t1, t2), reference_subtype(t2, t1))
+    return got
+
+
+def test_subtype_agrees_with_reference_on_every_alignment():
+    answers, cases = set(), set()
+    for seed in range(600):
+        rng = random.Random(seed)
+        t1 = random_tgt_type(rng, 3)
+        t2 = variant(rng, t1)
+        answers.add(agree_on_subtype(t1, t2))
+        agree_on_subtype(t1, random_tgt_type(rng, 3))
+        if isinstance(t1, TForall) and isinstance(t2, TForall):
+            cases.add("same" if t1.var == t2.var else
+                      "fresh" if t2.var in free_name_vars(t1) else "rename")
+    assert answers >= {(True, True), (True, False), (False, False)}
+    assert cases == {"same", "rename", "fresh"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms)
+def test_subtype_agrees_with_reference_on_compiled_types(e):
+    # the types inferred at three compile seeds, against each other and
+    # against the compiled source type
+    env = TargetEnv().push_name("al")
+    types = [effect_typecheck(env, compile_expr(e, "al", seed))[0]
+             for seed in [(), ("o",), ("b", "o")]]
+    types.append(compile_type(src_typecheck(e)))
+    for t1 in types:
+        for t2 in types:
+            agree_on_subtype(t1, t2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_subtype_agrees_with_reference_on_random_types(seed):
+    rng = random.Random(seed)
+    s1, s2 = random_src_type(rng, 4), random_src_type(rng, 4)
+    agree_on_subtype(compile_type(s1), compile_type(s2))
+    agree_on_subtype(compile_type(s1), variant(rng, compile_type(s1)))
+    t = random_tgt_type(rng, 4)
+    agree_on_subtype(t, variant(rng, t))
+    agree_on_subtype(variant(rng, t), variant(rng, t))
